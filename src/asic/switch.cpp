@@ -5,7 +5,6 @@
 
 #include "src/core/memory_map.hpp"
 #include "src/net/byte_io.hpp"
-#include "src/sim/log.hpp"
 
 namespace tpp::asic {
 

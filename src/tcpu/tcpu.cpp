@@ -1,6 +1,7 @@
 #include "src/tcpu/tcpu.hpp"
 
 #include <algorithm>
+#include <optional>
 
 namespace tpp::tcpu {
 
@@ -11,15 +12,70 @@ using core::kWordSize;
 using core::Opcode;
 using core::TppView;
 
-std::optional<std::size_t> Tcpu::effectiveIndex(const TppView& view,
-                                                std::uint8_t pmemOff) {
-  if (view.mode() == AddressingMode::Hop) {
-    // base:offset — word at hopNumber * perHopWords + offset (§3.2.2).
-    return static_cast<std::size_t>(view.hopNumber()) * view.perHopWords() +
-           pmemOff;
+namespace {
+
+// Packet memory of a wire TPP. The words, the stack pointer and the fault
+// byte all live in the packet. Hop mode places mode-addressed operands at
+// hopNumber * perHopWords + offset (§3.2.2) and reports any overrun as
+// HopOverflow; the mode and the hop base are read once per packet.
+class WirePmem {
+ public:
+  explicit WirePmem(TppView& view)
+      : view_(view),
+        hopMode_(view.mode() == AddressingMode::Hop),
+        hopBase_(hopMode_ ? static_cast<std::size_t>(view.hopNumber()) *
+                                view.perHopWords()
+                          : 0) {}
+
+  std::size_t index(std::uint8_t pmemOff) const { return hopBase_ + pmemOff; }
+  std::optional<std::uint32_t> get(std::size_t i) const {
+    return view_.pmemWord(i);
   }
-  return pmemOff;
-}
+  bool set(std::size_t i, std::uint32_t v) { return view_.setPmemWord(i, v); }
+  Fault overrun() const {
+    return hopMode_ ? Fault::HopOverflow : Fault::PmemOutOfBounds;
+  }
+  std::uint16_t sp() const { return view_.stackPointer(); }
+  void setSp(std::uint16_t sp) { view_.setStackPointer(sp); }
+  void fault(Fault f) { view_.setFault(f); }
+  void cexecSkipped() { view_.setFlag(core::kFlagCexecSkipped); }
+
+ private:
+  TppView& view_;
+  bool hopMode_;
+  std::size_t hopBase_;
+};
+
+// Packet memory of a resident hook: a caller-owned image and a local stack
+// pointer, stack-mode addressing only. There is no header, so faults and a
+// failed CEXEC are reported only in the ExecReport.
+class ResidentPmem {
+ public:
+  ResidentPmem(std::span<std::uint32_t> words, std::uint16_t sp)
+      : words_(words), sp_(sp) {}
+
+  std::size_t index(std::uint8_t pmemOff) const { return pmemOff; }
+  std::optional<std::uint32_t> get(std::size_t i) const {
+    if (i >= words_.size()) return std::nullopt;
+    return words_[i];
+  }
+  bool set(std::size_t i, std::uint32_t v) {
+    if (i >= words_.size()) return false;
+    words_[i] = v;
+    return true;
+  }
+  Fault overrun() const { return Fault::PmemOutOfBounds; }
+  std::uint16_t sp() const { return sp_; }
+  void setSp(std::uint16_t sp) { sp_ = sp; }
+  void fault(Fault) {}
+  void cexecSkipped() {}
+
+ private:
+  std::span<std::uint32_t> words_;
+  std::uint16_t sp_;
+};
+
+}  // namespace
 
 const Tcpu::CachedProgram& Tcpu::decodeProgram(const TppView& view,
                                                std::size_t instrWords) {
@@ -41,115 +97,103 @@ const Tcpu::CachedProgram& Tcpu::decodeProgram(const TppView& view,
   ++decodeMisses_;
   entry.words = fetchScratch_;
   entry.decoded.clear();
-  entry.bad = false;
   for (const std::uint32_t w : entry.words) {
     const auto ins = Instruction::decode(w);
-    if (!ins) {
-      entry.bad = true;
-      break;
-    }
+    if (!ins) break;
     entry.decoded.push_back(*ins);
   }
   return entry;
 }
 
-ExecReport Tcpu::execute(TppView& view, AddressSpace& memory) {
+template <class Pmem>
+ExecReport Tcpu::run(std::span<const Instruction> decoded, std::size_t n,
+                     std::uint16_t taskId, Pmem&& pmem, AddressSpace& memory) {
   ExecReport report;
   ++tpps_;
-  const std::uint16_t taskId = view.taskId();
-  const std::size_t n = view.instrWords();
-  const CachedProgram& program = decodeProgram(view, n);
 
+  // The first fault is the root cause: an opcode that reads both packet
+  // and switch memory may fault twice, and the header keeps the first.
   auto fault = [&](Fault f) {
-    view.setFault(f);
+    if (report.fault != Fault::None) return;
+    pmem.fault(f);
     report.fault = f;
     ++faults_;
   };
+  // Reads a pmem word, faulting on overrun.
+  auto pmemAt = [&](std::size_t idx) -> std::optional<std::uint32_t> {
+    const auto v = pmem.get(idx);
+    if (!v) fault(pmem.overrun());
+    return v;
+  };
+  auto pmemSet = [&](std::size_t idx, std::uint32_t v) -> bool {
+    if (!pmem.set(idx, v)) {
+      fault(pmem.overrun());
+      return false;
+    }
+    return true;
+  };
+  auto readSwitch = [&](std::uint16_t a) -> std::optional<std::uint32_t> {
+    const auto r = memory.read(a, taskId);
+    if (r.fault != Fault::None) {
+      fault(r.fault);
+      return std::nullopt;
+    }
+    return r.value;
+  };
+  auto writeSwitch = [&](std::uint16_t a, std::uint32_t v) -> bool {
+    const auto f = memory.write(a, v, taskId);
+    if (f != Fault::None) {
+      fault(f);
+      return false;
+    }
+    return true;
+  };
 
-  std::size_t i = 0;
-  for (; i < n; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     // An undecodable word faults only when execution reaches it, exactly
     // as lazy per-word decoding behaved.
-    if (i >= program.decoded.size()) {
+    if (i >= decoded.size()) {
       fault(Fault::BadInstruction);
       break;
     }
-    const auto& ins = program.decoded[i];
-
-    // Reads a mode-addressed pmem word, faulting on overflow.
-    auto pmemAt = [&](std::size_t idx) -> std::optional<std::uint32_t> {
-      const auto v = view.pmemWord(idx);
-      if (!v) {
-        fault(view.mode() == AddressingMode::Hop ? Fault::HopOverflow
-                                                 : Fault::PmemOutOfBounds);
-      }
-      return v;
-    };
-    auto pmemSet = [&](std::size_t idx, std::uint32_t v) -> bool {
-      if (!view.setPmemWord(idx, v)) {
-        fault(view.mode() == AddressingMode::Hop ? Fault::HopOverflow
-                                                 : Fault::PmemOutOfBounds);
-        return false;
-      }
-      return true;
-    };
-    auto readSwitch = [&](std::uint16_t a) -> std::optional<std::uint32_t> {
-      const auto r = memory.read(a, taskId);
-      if (r.fault != Fault::None) {
-        fault(r.fault);
-        return std::nullopt;
-      }
-      return r.value;
-    };
-    auto writeSwitch = [&](std::uint16_t a, std::uint32_t v) -> bool {
-      const auto f = memory.write(a, v, taskId);
-      if (f != Fault::None) {
-        fault(f);
-        return false;
-      }
-      return true;
-    };
+    const auto& ins = decoded[i];
 
     bool done = false;
     switch (ins.op) {
       case Opcode::Nop:
         break;
       case Opcode::Push: {
-        const std::uint16_t sp = view.stackPointer();
-        const std::size_t idx = sp / kWordSize;
+        const std::uint16_t sp = pmem.sp();
         const auto v = readSwitch(ins.addr);
-        if (!v || !pmemSet(idx, *v)) {
+        if (!v || !pmemSet(sp / kWordSize, *v)) {
           done = true;
           break;
         }
-        view.setStackPointer(static_cast<std::uint16_t>(sp + kWordSize));
+        pmem.setSp(static_cast<std::uint16_t>(sp + kWordSize));
         break;
       }
       case Opcode::Pop: {
-        const std::uint16_t sp = view.stackPointer();
+        const std::uint16_t sp = pmem.sp();
         if (sp < kWordSize) {
           fault(Fault::PmemOutOfBounds);
           done = true;
           break;
         }
-        const std::size_t idx = sp / kWordSize - 1;
-        const auto v = pmemAt(idx);
+        const auto v = pmemAt(sp / kWordSize - 1);
         if (!v || !writeSwitch(ins.addr, *v)) {
           done = true;
           break;
         }
-        view.setStackPointer(static_cast<std::uint16_t>(sp - kWordSize));
+        pmem.setSp(static_cast<std::uint16_t>(sp - kWordSize));
         break;
       }
       case Opcode::Load: {
-        const auto idx = effectiveIndex(view, ins.pmemOff);
         const auto v = readSwitch(ins.addr);
-        if (!v || !pmemSet(*idx, *v)) done = true;
+        if (!v || !pmemSet(pmem.index(ins.pmemOff), *v)) done = true;
         break;
       }
       case Opcode::Store: {
-        const auto idx = effectiveIndex(view, ins.pmemOff);
-        const auto v = pmemAt(*idx);
+        const auto v = pmemAt(pmem.index(ins.pmemOff));
         if (!v || !writeSwitch(ins.addr, *v)) done = true;
         break;
       }
@@ -191,7 +235,7 @@ ExecReport Tcpu::execute(TppView& view, AddressSpace& memory) {
           break;
         }
         if ((*reg & *mask) != *value) {
-          view.setFlag(core::kFlagCexecSkipped);
+          pmem.cexecSkipped();
           report.cexecSkipped = true;
           report.skipped = n - i - 1;
           done = true;  // all subsequent instructions are not executed
@@ -202,8 +246,8 @@ ExecReport Tcpu::execute(TppView& view, AddressSpace& memory) {
       case Opcode::Sub:
       case Opcode::Min:
       case Opcode::Max: {
-        const auto idx = effectiveIndex(view, ins.pmemOff);
-        const auto cur = pmemAt(*idx);
+        const std::size_t idx = pmem.index(ins.pmemOff);
+        const auto cur = pmemAt(idx);
         const auto v = readSwitch(ins.addr);
         if (!cur || !v) {
           done = true;
@@ -217,7 +261,7 @@ ExecReport Tcpu::execute(TppView& view, AddressSpace& memory) {
           case Opcode::Max: result = std::max(*cur, *v); break;
           default: break;
         }
-        if (!pmemSet(*idx, result)) done = true;
+        if (!pmemSet(idx, result)) done = true;
         break;
       }
     }
@@ -235,6 +279,14 @@ ExecReport Tcpu::execute(TppView& view, AddressSpace& memory) {
   }
 
   report.cycles = model_.cycles(report.executed);
+  return report;
+}
+
+ExecReport Tcpu::execute(TppView& view, AddressSpace& memory) {
+  const std::size_t n = view.instrWords();
+  const CachedProgram& program = decodeProgram(view, n);
+  const ExecReport report =
+      run(program.decoded, n, view.taskId(), WirePmem(view), memory);
   // Hop counter advances on every TCPU-enabled switch traversed.
   view.setHopNumber(static_cast<std::uint8_t>(view.hopNumber() + 1));
   return report;
@@ -243,166 +295,8 @@ ExecReport Tcpu::execute(TppView& view, AddressSpace& memory) {
 ExecReport Tcpu::executeResident(
     std::span<const Instruction> instructions, std::span<std::uint32_t> pmem,
     std::uint16_t taskId, AddressSpace& memory, std::uint16_t initialSp) {
-  ExecReport report;
-  ++tpps_;
-  std::uint16_t sp = initialSp;
-  const std::size_t n = instructions.size();
-
-  auto fault = [&](Fault f) {
-    report.fault = f;
-    ++faults_;
-  };
-
-  std::size_t i = 0;
-  for (; i < n; ++i) {
-    const auto& ins = instructions[i];
-
-    auto pmemAt = [&](std::size_t idx) -> std::optional<std::uint32_t> {
-      if (idx >= pmem.size()) {
-        fault(Fault::PmemOutOfBounds);
-        return std::nullopt;
-      }
-      return pmem[idx];
-    };
-    auto pmemSet = [&](std::size_t idx, std::uint32_t v) -> bool {
-      if (idx >= pmem.size()) {
-        fault(Fault::PmemOutOfBounds);
-        return false;
-      }
-      pmem[idx] = v;
-      return true;
-    };
-    auto readSwitch = [&](std::uint16_t a) -> std::optional<std::uint32_t> {
-      const auto r = memory.read(a, taskId);
-      if (r.fault != Fault::None) {
-        fault(r.fault);
-        return std::nullopt;
-      }
-      return r.value;
-    };
-    auto writeSwitch = [&](std::uint16_t a, std::uint32_t v) -> bool {
-      const auto f = memory.write(a, v, taskId);
-      if (f != Fault::None) {
-        fault(f);
-        return false;
-      }
-      return true;
-    };
-
-    bool done = false;
-    switch (ins.op) {
-      case Opcode::Nop:
-        break;
-      case Opcode::Push: {
-        const std::size_t idx = sp / kWordSize;
-        const auto v = readSwitch(ins.addr);
-        if (!v || !pmemSet(idx, *v)) {
-          done = true;
-          break;
-        }
-        sp = static_cast<std::uint16_t>(sp + kWordSize);
-        break;
-      }
-      case Opcode::Pop: {
-        if (sp < kWordSize) {
-          fault(Fault::PmemOutOfBounds);
-          done = true;
-          break;
-        }
-        const std::size_t idx = sp / kWordSize - 1;
-        const auto v = pmemAt(idx);
-        if (!v || !writeSwitch(ins.addr, *v)) {
-          done = true;
-          break;
-        }
-        sp = static_cast<std::uint16_t>(sp - kWordSize);
-        break;
-      }
-      case Opcode::Load: {
-        const auto v = readSwitch(ins.addr);
-        if (!v || !pmemSet(ins.pmemOff, *v)) done = true;
-        break;
-      }
-      case Opcode::Store: {
-        const auto v = pmemAt(ins.pmemOff);
-        if (!v || !writeSwitch(ins.addr, *v)) done = true;
-        break;
-      }
-      case Opcode::Cstore: {
-        const auto cond = pmemAt(ins.pmemOff);
-        const auto src = pmemAt(ins.pmemOff + 1u);
-        if (!cond || !src) {
-          done = true;
-          break;
-        }
-        const auto old = readSwitch(ins.addr);
-        if (!old) {
-          done = true;
-          break;
-        }
-        if (*old == *cond && !writeSwitch(ins.addr, *src)) {
-          done = true;
-          break;
-        }
-        if (!pmemSet(ins.pmemOff, *old)) done = true;
-        break;
-      }
-      case Opcode::Cexec: {
-        const auto mask = pmemAt(ins.pmemOff);
-        const auto value = pmemAt(ins.pmemOff + 1u);
-        if (!mask || !value) {
-          done = true;
-          break;
-        }
-        const auto reg = readSwitch(ins.addr);
-        if (!reg) {
-          done = true;
-          break;
-        }
-        if ((*reg & *mask) != *value) {
-          report.cexecSkipped = true;
-          report.skipped = n - i - 1;
-          done = true;
-        }
-        break;
-      }
-      case Opcode::Add:
-      case Opcode::Sub:
-      case Opcode::Min:
-      case Opcode::Max: {
-        const auto cur = pmemAt(ins.pmemOff);
-        const auto v = readSwitch(ins.addr);
-        if (!cur || !v) {
-          done = true;
-          break;
-        }
-        std::uint32_t result = 0;
-        switch (ins.op) {
-          case Opcode::Add: result = *cur + *v; break;
-          case Opcode::Sub: result = *cur - *v; break;
-          case Opcode::Min: result = std::min(*cur, *v); break;
-          case Opcode::Max: result = std::max(*cur, *v); break;
-          default: break;
-        }
-        if (!pmemSet(ins.pmemOff, result)) done = true;
-        break;
-      }
-    }
-
-    if (report.fault != Fault::None) break;
-    ++report.executed;
-    ++instructions_;
-    if (tracer_ != nullptr) {
-      tracer_->record(clock_->now(), sim::TraceKind::TcpuRetire, actor_,
-                      taskId, static_cast<std::uint32_t>(i),
-                      static_cast<std::uint32_t>(ins.op), ins.addr,
-                      ins.pmemOff);
-    }
-    if (done) break;
-  }
-
-  report.cycles = model_.cycles(report.executed);
-  return report;
+  return run(instructions, instructions.size(), taskId,
+             ResidentPmem(pmem, initialSp), memory);
 }
 
 }  // namespace tpp::tcpu

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -65,8 +64,9 @@ class Tcpu {
   // mode addressing. No wire bytes exist, so nothing touches the decode
   // cache (per-packet address patching would otherwise thrash it), no
   // header flags or hop counter advance, and faults are only reported in
-  // the ExecReport. Semantics per instruction are identical to execute()
-  // in stack mode — test_hook.cpp holds a differential check.
+  // the ExecReport. It runs the same interpreter loop as execute(), fed by
+  // the resident packet-memory policy instead of the wire one; a
+  // differential test in test_hook.cpp compares the two policies.
   ExecReport executeResident(std::span<const core::Instruction> instructions,
                              std::span<std::uint32_t> pmem,
                              std::uint16_t taskId, AddressSpace& memory,
@@ -93,9 +93,13 @@ class Tcpu {
   std::uint64_t decodeCacheMisses() const { return decodeMisses_; }
 
  private:
-  // Effective packet-memory word index for a mode-addressed operand.
-  static std::optional<std::size_t> effectiveIndex(const core::TppView& view,
-                                                   std::uint8_t pmemOff);
+  // The one interpreter loop (paper Fig 5) behind execute() and
+  // executeResident(). Words from decoded.size() up to `n` failed to decode
+  // and fault when reached. `Pmem` is the packet-memory policy (WirePmem or
+  // ResidentPmem in tcpu.cpp), fixed at compile time.
+  template <class Pmem>
+  ExecReport run(std::span<const core::Instruction> decoded, std::size_t n,
+                 std::uint16_t taskId, Pmem&& pmem, AddressSpace& memory);
 
   // Decoded-program cache. A TPP's instruction words are immutable in
   // flight (only its header and packet memory mutate per hop), and a
@@ -106,7 +110,6 @@ class Tcpu {
   struct CachedProgram {
     std::vector<std::uint32_t> words;
     std::vector<core::Instruction> decoded;  // valid prefix of the program
-    bool bad = false;  // words[decoded.size()] failed to decode
   };
   static constexpr std::size_t kDecodeCacheSlots = 64;  // power of two
   const CachedProgram& decodeProgram(const core::TppView& view,

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "src/core/memory_map.hpp"
 
 namespace tpp::core {
@@ -136,6 +138,9 @@ struct ErrorCase {
   const char* name;
   const char* source;
 };
+
+// Names the case; the default printer would dump its pointers' bytes.
+void PrintTo(const ErrorCase& c, std::ostream* os) { *os << c.name; }
 
 class AssemblerErrors : public ::testing::TestWithParam<ErrorCase> {};
 

@@ -1,6 +1,6 @@
 // Resident-hook machinery: the salted column hash family, per-packet
-// materialization, and the executeResident/execute differential the Tcpu
-// header promises (semantics identical to wire execution in stack mode).
+// materialization, and the differential between the TCPU loop's two
+// packet-memory policies (executeResident vs execute in stack mode).
 #include "src/core/hook.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include "src/monitor/sketch.hpp"
 #include "src/net/ethernet.hpp"
 #include "src/tcpu/tcpu.hpp"
+#include "tests/fake_memory.hpp"
 
 namespace tpp::core {
 namespace {
@@ -115,44 +116,27 @@ TEST(MaterializeHook, PatchesAddressesAndPmemSources) {
 
 // ------------------------------------- resident vs wire differential
 
-// In-memory switch address space shared by both execution paths.
-class FakeMemory final : public tcpu::AddressSpace {
- public:
-  std::map<std::uint16_t, std::uint32_t> words;
-  std::uint16_t readOnlyAbove = 0xffff;
-
-  ReadResult read(std::uint16_t address, std::uint16_t) override {
-    const auto it = words.find(address);
-    if (it == words.end()) {
-      return ReadResult::fail(Fault::UnmappedAddress);
-    }
-    return ReadResult::ok(it->second);
-  }
-
-  Fault write(std::uint16_t address, std::uint32_t value,
-              std::uint16_t) override {
-    if (address >= readOnlyAbove) return Fault::ReadOnlyViolation;
-    if (!words.contains(address)) return Fault::UnmappedAddress;
-    words[address] = value;
-    return Fault::None;
-  }
-};
+using test::FakeMemory;
 
 // Random stack-mode programs over a tiny mapped region must behave
-// identically on the wire path (decode + TppView) and the resident path
-// (pre-decoded instructions + caller-owned pmem): same report, same final
-// packet memory, same final switch memory.
+// identically under the interpreter's two packet-memory policies: the wire
+// path (decode + TppView) and the resident path (pre-decoded instructions +
+// caller-owned pmem). Same report, same final packet memory, same final
+// switch memory. Packet memory is sized just past the immediates, so the
+// fault paths (unmapped switch words, pmem overruns, POP underflow) are
+// compared too.
 TEST(ExecuteResident, MatchesWireExecutionOnRandomPrograms) {
   std::mt19937_64 rng(42);
   constexpr std::uint16_t kBase = 0xb000;
   constexpr int kMapped = 6;
+  std::map<Fault, int> faultsSeen;
 
   for (int trial = 0; trial < 500; ++trial) {
     Program p;
     p.mode = AddressingMode::Stack;
     p.taskId = 8;
-    p.pmemWords = 16;
     const std::size_t numImm = rng() % 6;
+    p.pmemWords = static_cast<std::uint8_t>(numImm + 1 + rng() % 4);
     for (std::size_t i = 0; i < numImm; ++i) {
       p.initialPmem.push_back(static_cast<std::uint32_t>(rng() % 7));
     }
@@ -160,9 +144,9 @@ TEST(ExecuteResident, MatchesWireExecutionOnRandomPrograms) {
     const std::size_t numInstr = 1 + rng() % 6;
     for (std::size_t i = 0; i < numInstr; ++i) {
       static constexpr Opcode kOps[] = {
-          Opcode::Push, Opcode::Load, Opcode::Store, Opcode::Add,
-          Opcode::Sub,  Opcode::Min,  Opcode::Max,   Opcode::Cstore,
-          Opcode::Cexec};
+          Opcode::Nop,   Opcode::Push, Opcode::Pop,    Opcode::Load,
+          Opcode::Store, Opcode::Add,  Opcode::Sub,    Opcode::Min,
+          Opcode::Max,   Opcode::Cstore, Opcode::Cexec};
       Instruction ins;
       ins.op = kOps[rng() % std::size(kOps)];
       // Occasionally unmapped, to diff the fault paths too.
@@ -196,6 +180,8 @@ TEST(ExecuteResident, MatchesWireExecutionOnRandomPrograms) {
                                                             << trial;
     EXPECT_EQ(wireReport.skipped, residentReport.skipped);
     EXPECT_EQ(wireReport.fault, residentReport.fault);
+    EXPECT_EQ(view->faultCode(), wireReport.fault) << "trial " << trial;
+    ++faultsSeen[wireReport.fault];
     EXPECT_EQ(wireReport.cexecSkipped, residentReport.cexecSkipped);
     EXPECT_EQ(wireReport.cycles, residentReport.cycles);
     for (std::size_t w = 0; w < p.pmemWords; ++w) {
@@ -204,6 +190,8 @@ TEST(ExecuteResident, MatchesWireExecutionOnRandomPrograms) {
     }
     EXPECT_EQ(wireMem.words, residentMem.words) << "trial " << trial;
   }
+  EXPECT_GT(faultsSeen[Fault::PmemOutOfBounds], 0);
+  EXPECT_GT(faultsSeen[Fault::UnmappedAddress], 0);
 }
 
 }  // namespace

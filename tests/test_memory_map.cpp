@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iomanip>
+#include <ostream>
+
 namespace tpp::core {
 namespace {
 
@@ -89,6 +92,12 @@ struct NamespaceCase {
   std::uint16_t address;
   StatNamespace expected;
 };
+
+// Names the case by its address; the default printer would dump the
+// struct's bytes, padding included.
+void PrintTo(const NamespaceCase& c, std::ostream* os) {
+  *os << "0x" << std::hex << std::setw(4) << std::setfill('0') << c.address;
+}
 
 class NamespaceBoundaries : public ::testing::TestWithParam<NamespaceCase> {};
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <tuple>
 
 namespace tpp::sim {
 namespace {
@@ -127,7 +129,7 @@ TEST(Rng, NormalMoments) {
 
 // Property sweep: fork determinism holds for arbitrary names and seeds.
 class RngForkProperty
-    : public ::testing::TestWithParam<std::tuple<std::uint64_t, const char*>> {
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, std::string>> {
 };
 
 TEST_P(RngForkProperty, ReproducibleAcrossInstances) {

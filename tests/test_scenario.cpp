@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 #include <set>
 #include <string>
 #include <utility>
@@ -197,6 +198,9 @@ struct RejectCase {
   const char* text;
   const char* wantError;  // substring, including the "line N:" prefix
 };
+
+// Names the case; the default printer would dump its pointers' bytes.
+void PrintTo(const RejectCase& rc, std::ostream* os) { *os << rc.label; }
 
 class ScenarioParserReject : public ::testing::TestWithParam<RejectCase> {};
 

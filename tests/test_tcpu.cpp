@@ -2,10 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
-
 #include "src/core/program.hpp"
 #include "src/net/ethernet.hpp"
+#include "tests/fake_memory.hpp"
 
 namespace tpp::tcpu {
 namespace {
@@ -16,30 +15,7 @@ using core::Opcode;
 using core::Program;
 using core::ProgramBuilder;
 using core::TppView;
-
-// In-memory switch address space with scripted permissions.
-class FakeMemory final : public AddressSpace {
- public:
-  std::map<std::uint16_t, std::uint32_t> words;
-  std::uint16_t readOnlyAbove = 0xffff;  // addresses >= this are read-only
-  std::uint16_t deniedTask = 0xffff;     // this task is grant-denied
-
-  ReadResult read(std::uint16_t address, std::uint16_t taskId) override {
-    if (taskId == deniedTask) return ReadResult::fail(Fault::GrantViolation);
-    const auto it = words.find(address);
-    if (it == words.end()) return ReadResult::fail(Fault::UnmappedAddress);
-    return ReadResult::ok(it->second);
-  }
-
-  Fault write(std::uint16_t address, std::uint32_t value,
-              std::uint16_t taskId) override {
-    if (taskId == deniedTask) return Fault::GrantViolation;
-    if (address >= readOnlyAbove) return Fault::ReadOnlyViolation;
-    if (!words.contains(address)) return Fault::UnmappedAddress;
-    words[address] = value;
-    return Fault::None;
-  }
-};
+using test::FakeMemory;
 
 struct Harness {
   net::PacketPtr packet;
@@ -373,6 +349,20 @@ TEST(Tcpu, FaultPersistsAcrossLaterHops) {
   tcpu.execute(*h.view, mem);
   // First-fault-wins semantics survive the second, clean execution.
   EXPECT_EQ(h.view->faultCode(), Fault::UnmappedAddress);
+}
+
+TEST(Tcpu, ReportKeepsFirstOfTwoFaultsLikeTheHeader) {
+  // ADD reads packet and switch memory; both fault here. The report, the
+  // header and the fault counter all see the first fault only.
+  ProgramBuilder b;
+  b.add(0x0123, 3);  // pmem word 3 of 1, and an unmapped address
+  b.reserve(1);
+  Harness h(*b.build());
+  FakeMemory mem;
+  Tcpu tcpu;
+  EXPECT_EQ(tcpu.execute(*h.view, mem).fault, Fault::PmemOutOfBounds);
+  EXPECT_EQ(h.view->faultCode(), Fault::PmemOutOfBounds);
+  EXPECT_EQ(tcpu.faults(), 1u);
 }
 
 TEST(Tcpu, LifetimeCounters) {
