@@ -22,12 +22,15 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/apps/microburst.hpp"
 #include "src/apps/ndb.hpp"
 #include "src/apps/rcpstar.hpp"
+#include "src/asic/tables.hpp"
 #include "src/core/memory_map.hpp"
 #include "src/core/program.hpp"
 #include "src/core/verifier.hpp"
@@ -742,6 +745,49 @@ Metric benchScenarioK16() {
 }
 
 // ------------------------------------------------------------------------
+// 9. Forwarding tables: one L3 lookup in a core switch's table (k=16: 1024
+// host /32s) behind an ECMP /0 default, and a k=16 fat-tree build with no
+// traffic — the set-up cost that table inserts used to dominate.
+// ------------------------------------------------------------------------
+
+Metric benchL3Match1024() {
+  asic::L3LpmTable table;
+  for (std::uint32_t h = 0; h < 1024; ++h) {
+    table.add(net::Ipv4Address::forHost(h), 32, h % 8);
+  }
+  table.addMultipath(net::Ipv4Address{0}, 0, {8, 9, 10, 11, 12, 13, 14, 15});
+  // A fixed stream: three in four destinations hit a host route, the rest
+  // fall through to the default.
+  std::mt19937_64 rng(42);
+  std::vector<std::pair<net::Ipv4Address, std::uint64_t>> keys(4096);
+  for (auto& [dst, hash] : keys) {
+    dst = net::Ipv4Address::forHost(static_cast<std::uint32_t>(rng() % 1365));
+    hash = rng();
+  }
+  return measure("l3_match_1024", 1'000'000, [&](std::uint64_t ops) {
+    std::uint64_t ports = 0;
+    for (std::uint64_t i = 0; i < ops; ++i) {
+      const auto& [dst, hash] = keys[i % keys.size()];
+      const auto r = table.match(dst, hash);
+      if (!r) std::abort();  // the default route matches everything
+      ports += r->outPort + 1;
+    }
+    if (ports < ops) std::abort();
+  });
+}
+
+Metric benchFatTreeBuildK16() {
+  const host::LinkParams lp{10'000'000'000ULL, sim::Time::us(2)};
+  return measure("fattree_build_k16", 3, [&](std::uint64_t ops) {
+    for (std::uint64_t i = 0; i < ops; ++i) {
+      host::Testbed tb;
+      const auto ix = buildFatTree(tb, 16, lp);
+      if (tb.sw(ix.coreSw(0)).l3().size() != 1024) std::abort();
+    }
+  });
+}
+
+// ------------------------------------------------------------------------
 // JSON output
 // ------------------------------------------------------------------------
 
@@ -903,6 +949,8 @@ int main(int argc, char** argv) {
     metrics.push_back(benchShardScaling(t));
   }
   metrics.push_back(benchScenarioK16());
+  metrics.push_back(benchL3Match1024());
+  metrics.push_back(benchFatTreeBuildK16());
   writeJson(out, metrics);
   std::printf("wrote %s (%zu metrics)\n", out, metrics.size());
 

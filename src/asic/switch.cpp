@@ -268,17 +268,19 @@ void Switch::receive(net::PacketPtr packet, std::size_t port) {
 
 std::optional<MatchResult> Switch::lookup(const ParsedPacket& parsed,
                                           std::uint64_t flowHash) {
-  Tcam::PacketFields fields;
-  fields.dstMac = parsed.eth.dst;
-  fields.etherType = parsed.effectiveEtherType;
-  if (parsed.ip) {
-    fields.ipSrc = parsed.ip->src;
-    fields.ipDst = parsed.ip->dst;
-    fields.ipProto = parsed.ip->protocol;
-  }
-  if (auto r = tcam_.match(fields)) {
-    r->table = 3;
-    return r;
+  if (tcam_.size() != 0) {  // an empty TCAM never matches
+    Tcam::PacketFields fields;
+    fields.dstMac = parsed.eth.dst;
+    fields.etherType = parsed.effectiveEtherType;
+    if (parsed.ip) {
+      fields.ipSrc = parsed.ip->src;
+      fields.ipDst = parsed.ip->dst;
+      fields.ipProto = parsed.ip->protocol;
+    }
+    if (auto r = tcam_.match(fields)) {
+      r->table = 3;
+      return r;
+    }
   }
   if (parsed.ip) {
     if (auto r = l3_.match(parsed.ip->dst, flowHash)) {

@@ -87,6 +87,12 @@ class L2Table {
 // Longest-prefix-match IPv4 table with ECMP multipath: an entry may carry
 // several equal-cost next-hop ports; the pipeline picks one by flow hash so
 // a flow's packets stay on one path while flows spread across paths.
+//
+// One flat open-addressing hash table keyed by (masked prefix, length):
+// linear probing, power-of-two capacity, load at most 1/2, backward-shift
+// deletion (no tombstones). A 33-bit mask records which lengths are in use,
+// so `match` costs one probe per occupied length — not one compare per
+// entry — and an insert costs amortized O(1).
 class L3LpmTable {
  public:
   // prefixLen in [0,32]. Re-adding a prefix updates it and bumps versions.
@@ -101,20 +107,36 @@ class L3LpmTable {
   std::optional<MatchResult> match(net::Ipv4Address dst,
                                    std::uint64_t flowHash = 0) const;
   std::uint16_t version() const { return version_; }
-  std::size_t size() const { return entries_.size(); }
+  std::size_t size() const { return size_; }
 
  private:
-  struct Entry {
-    std::uint32_t prefix;  // already masked
-    std::uint8_t len;
-    std::vector<std::size_t> ports;  // >= 1 equal-cost next hops
-    std::uint16_t id;
-    std::uint16_t version;
+  static constexpr std::uint8_t kFree = 0xff;  // Slot::len of an empty slot
+  struct Slot {
+    std::uint32_t prefix = 0;  // already masked
+    std::uint32_t portOff = 0;  // run of `portCount` ports in ports_
+    std::uint32_t portCount = 0;  // >= 1 equal-cost next hops
+    std::uint16_t id = 0;
+    std::uint16_t version = 0;
+    std::uint8_t len = kFree;
   };
   static std::uint32_t maskOf(std::uint8_t len) {
     return len == 0 ? 0 : ~std::uint32_t{0} << (32 - len);
   }
-  std::vector<Entry> entries_;  // kept sorted by descending prefix length
+  std::size_t home(std::uint32_t prefix, std::uint8_t len) const;
+  // Index of the slot holding (prefix, len), or of the free slot that ends
+  // its probe run.
+  std::size_t find(std::uint32_t prefix, std::uint8_t len) const;
+  void insert(std::uint32_t prefix, std::uint8_t len,
+              const std::size_t* ports, std::size_t count);
+  void grow();
+  void compactPorts();
+
+  std::vector<Slot> slots_;  // capacity is zero or a power of two
+  std::vector<std::size_t> ports_;  // every entry's ECMP run, back to back
+  std::size_t deadPorts_ = 0;  // ports_ words no entry refers to any more
+  std::size_t size_ = 0;
+  std::uint64_t lengths_ = 0;  // bit L set <=> some entry has length L
+  std::uint32_t perLength_[33] = {};  // entries per prefix length
   std::uint16_t nextId_ = 1;
   std::uint16_t version_ = 0;
 };

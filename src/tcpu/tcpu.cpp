@@ -202,8 +202,8 @@ ExecReport Tcpu::run(std::span<const Instruction> decoded, std::size_t n,
         // Operand words are ALWAYS absolute indices — they live in the
         // immediate region the end-host initialized, independent of hop.
         const auto cond = pmemAt(ins.pmemOff);
-        const auto src = pmemAt(ins.pmemOff + 1u);
-        if (!cond || !src) {
+        const auto src = cond ? pmemAt(ins.pmemOff + 1u) : std::nullopt;
+        if (!src) {
           done = true;
           break;
         }
@@ -224,8 +224,8 @@ ExecReport Tcpu::run(std::span<const Instruction> decoded, std::size_t n,
       case Opcode::Cexec: {
         // Execute the REST of the program only if (reg & mask) == value.
         const auto mask = pmemAt(ins.pmemOff);
-        const auto value = pmemAt(ins.pmemOff + 1u);
-        if (!mask || !value) {
+        const auto value = mask ? pmemAt(ins.pmemOff + 1u) : std::nullopt;
+        if (!value) {
           done = true;
           break;
         }
@@ -247,9 +247,10 @@ ExecReport Tcpu::run(std::span<const Instruction> decoded, std::size_t n,
       case Opcode::Min:
       case Opcode::Max: {
         const std::size_t idx = pmem.index(ins.pmemOff);
+        // Stop at the first fault: no switch read for a faulted operand.
         const auto cur = pmemAt(idx);
-        const auto v = readSwitch(ins.addr);
-        if (!cur || !v) {
+        const auto v = cur ? readSwitch(ins.addr) : std::nullopt;
+        if (!v) {
           done = true;
           break;
         }

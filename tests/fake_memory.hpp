@@ -13,8 +13,10 @@ class FakeMemory final : public tcpu::AddressSpace {
   std::map<std::uint16_t, std::uint32_t> words;
   std::uint16_t readOnlyAbove = 0xffff;  // addresses >= this are read-only
   std::uint16_t deniedTask = 0xffff;     // this task is grant-denied
+  std::size_t reads = 0;                 // read() calls, faulted ones too
 
   ReadResult read(std::uint16_t address, std::uint16_t taskId) override {
+    ++reads;
     if (taskId == deniedTask) {
       return ReadResult::fail(core::Fault::GrantViolation);
     }

@@ -352,8 +352,8 @@ TEST(Tcpu, FaultPersistsAcrossLaterHops) {
 }
 
 TEST(Tcpu, ReportKeepsFirstOfTwoFaultsLikeTheHeader) {
-  // ADD reads packet and switch memory; both fault here. The report, the
-  // header and the fault counter all see the first fault only.
+  // ADD's packet word and switch address would both fault here. The
+  // report, the header and the fault counter all see the first fault only.
   ProgramBuilder b;
   b.add(0x0123, 3);  // pmem word 3 of 1, and an unmapped address
   b.reserve(1);
@@ -363,6 +363,27 @@ TEST(Tcpu, ReportKeepsFirstOfTwoFaultsLikeTheHeader) {
   EXPECT_EQ(tcpu.execute(*h.view, mem).fault, Fault::PmemOutOfBounds);
   EXPECT_EQ(h.view->faultCode(), Fault::PmemOutOfBounds);
   EXPECT_EQ(tcpu.faults(), 1u);
+}
+
+TEST(Tcpu, PmemFaultOnArithmeticSkipsSwitchRead) {
+  // The packet word faults first, so the instruction stops there: the
+  // switch word is never read (no wasted read, nothing for the oracle).
+  for (const Opcode op : {Opcode::Add, Opcode::Sub, Opcode::Min,
+                          Opcode::Max}) {
+    ProgramBuilder b;
+    b.add(0x1000, 3);  // pmem word 3 of 1; 0x1000 is mapped
+    b.reserve(1);
+    auto program = *b.build();
+    program.instructions[0].op = op;
+    Harness h(program);
+    FakeMemory mem;
+    mem.words[0x1000] = 7;
+    Tcpu tcpu;
+    EXPECT_EQ(tcpu.execute(*h.view, mem).fault, Fault::PmemOutOfBounds);
+    EXPECT_EQ(h.view->faultCode(), Fault::PmemOutOfBounds);
+    EXPECT_EQ(mem.reads, 0u);
+    EXPECT_EQ(tcpu.faults(), 1u);
+  }
 }
 
 TEST(Tcpu, LifetimeCounters) {
