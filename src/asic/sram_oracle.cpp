@@ -1,19 +1,9 @@
 #include "src/asic/sram_oracle.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 namespace tpp::asic {
 namespace {
-
-std::string describeAddress(std::uint16_t address) {
-  char buf[8];
-  std::snprintf(buf, sizeof buf, "0x%04x", address);
-  if (const auto* s = core::MemoryMap::standard().lookup(address)) {
-    return "[" + s->name + "] (" + buf + ")";
-  }
-  return std::string(buf);
-}
 
 std::string kindsName(std::uint8_t mask) {
   std::string out;
@@ -74,7 +64,8 @@ void SramRaceOracle::flush() {
 }
 
 std::string SramRaceOracle::ObservedConflict::describe() const {
-  std::string out = "observed conflict on " + describeAddress(address);
+  std::string out = "observed conflict on " +
+                    core::MemoryMap::standard().describeAddress(address);
   if (perPort) out += " port " + std::to_string(port);
   out += ": task " + std::to_string(taskA) + " (" + kindsName(kindsA) +
          ") vs task " + std::to_string(taskB) + " (" + kindsName(kindsB) +

@@ -250,26 +250,21 @@ std::variant<Program, AssemblyError> assemble(std::string_view source,
       return static_cast<std::uint16_t>(o->value);
     };
 
-    switch (*op) {
-      case Opcode::Nop:
-        builder.raw({Opcode::Nop, 0, 0});
+    const auto& info = opcodeInfo(*op);
+    switch (info.operands) {
+      case Operands::None:
+        builder.raw({*op, 0, 0});
         break;
-      case Opcode::Push:
-      case Opcode::Pop: {
+      case Operands::Addr: {
         if (operands.size() != 1) return fail("PUSH/POP take one operand");
         const auto a = switchAddr(0);
         if (!a) return fail(err.empty() ? "operand must be a switch address"
                                         : err);
         builder.raw({*op, *a, 0});
-        if (*op == Opcode::Push) ++pushCount;
+        if (info.stackDelta > 0) ++pushCount;
         break;
       }
-      case Opcode::Load:
-      case Opcode::Store:
-      case Opcode::Add:
-      case Opcode::Sub:
-      case Opcode::Min:
-      case Opcode::Max: {
+      case Operands::AddrPmem: {
         if (operands.size() != 2) return fail("expected two operands");
         const auto a = switchAddr(0);
         if (!a) return fail(err.empty() ? "first operand must be an address"
@@ -282,18 +277,18 @@ std::variant<Program, AssemblyError> assemble(std::string_view source,
             builder.raw({*op, *a, static_cast<std::uint8_t>(o2->value)});
             break;
           case Operand::Kind::Immediate:
-            if (*op != Opcode::Store) {
+            // Only a read-only operand can be staged as an immediate.
+            if (info.writesPacketOperand) {
               return fail("immediate operand only valid for STORE");
             }
-            builder.storeImm(*a, o2->value);
+            builder.raw({*op, *a, builder.imm(o2->value)});
             break;
           default:
             return fail("second operand must be packet memory or immediate");
         }
         break;
       }
-      case Opcode::Cstore:
-      case Opcode::Cexec: {
+      case Operands::AddrTwoPmem: {
         if (operands.size() != 3) return fail("expected three operands");
         const auto a = switchAddr(0);
         if (!a) return fail(err.empty() ? "first operand must be an address"
@@ -304,11 +299,9 @@ std::variant<Program, AssemblyError> assemble(std::string_view source,
         if (!o3) return fail(err);
         if (o2->kind == Operand::Kind::Immediate &&
             o3->kind == Operand::Kind::Immediate) {
-          if (*op == Opcode::Cstore) {
-            builder.cstore(*a, o2->value, o3->value);
-          } else {
-            builder.cexec(*a, o2->value, o3->value);
-          }
+          const std::uint8_t off = builder.imm(o2->value);
+          builder.imm(o3->value);
+          builder.raw({*op, *a, off});
         } else if (o2->kind == Operand::Kind::PmemIndex &&
                    o3->kind == Operand::Kind::PmemIndex &&
                    o3->value == o2->value + 1) {
@@ -385,33 +378,26 @@ std::string disassemble(const Program& program, const MemoryMap& map) {
   for (std::size_t i = 0; i < program.initialPmem.size(); ++i) {
     os << ".init " << i << " " << program.initialPmem[i] << "\n";
   }
-  auto name = [&](std::uint16_t a) {
-    if (const auto* s = map.lookup(a)) return s->name;
-    char buf[12];
-    std::snprintf(buf, sizeof buf, "0x%04x", a);
-    return std::string("[") + buf + "]";
-  };
   auto fmt = [&](std::uint16_t a) {
-    const auto* s = map.lookup(a);
-    if (s) return "[" + s->name + "]";
-    return name(a);
+    if (const auto* s = map.lookup(a)) return "[" + s->name + "]";
+    char buf[12];
+    std::snprintf(buf, sizeof buf, "[0x%04x]", a);
+    return std::string(buf);
   };
   for (const auto& ins : program.instructions) {
     os << opcodeName(ins.op);
-    switch (ins.op) {
-      case Opcode::Nop:
+    switch (opcodeInfo(ins.op).operands) {
+      case Operands::None:
         break;
-      case Opcode::Push:
-      case Opcode::Pop:
+      case Operands::Addr:
         os << " " << fmt(ins.addr);
         break;
-      case Opcode::Cstore:
-      case Opcode::Cexec:
+      case Operands::AddrPmem:
+        os << " " << fmt(ins.addr) << ", [Packet:" << int{ins.pmemOff} << "]";
+        break;
+      case Operands::AddrTwoPmem:
         os << " " << fmt(ins.addr) << ", [Packet:" << int{ins.pmemOff}
            << "], [Packet:" << int{ins.pmemOff} + 1 << "]";
-        break;
-      default:
-        os << " " << fmt(ins.addr) << ", [Packet:" << int{ins.pmemOff} << "]";
         break;
     }
     os << "\n";

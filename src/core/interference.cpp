@@ -1,111 +1,21 @@
 #include "src/core/interference.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
+
+#include "src/core/walk.hpp"
 
 namespace tpp::core {
 namespace {
-
-std::string describeAddress(std::uint16_t address) {
-  char buf[8];
-  std::snprintf(buf, sizeof buf, "0x%04x", address);
-  if (const auto* s = MemoryMap::standard().lookup(address)) {
-    return "[" + s->name + "] (" + buf + ")";
-  }
-  return std::string(buf);
-}
 
 std::string taskRef(const EffectSummary& s) {
   const std::string name = s.name.empty() ? "<unnamed>" : s.name;
   return "'" + name + "' (task " + std::to_string(s.taskId) + ")";
 }
 
-bool isModeAddressed(Opcode op) {
-  switch (op) {
-    case Opcode::Load:
-    case Opcode::Store:
-    case Opcode::Add:
-    case Opcode::Sub:
-    case Opcode::Min:
-    case Opcode::Max:
-      return true;
-    default:
-      return false;
-  }
-}
-
-// Which packet-memory words can any execution of `program` overwrite, over
-// up to `maxHops` hops? Same stack-pointer interval walk as the verifier,
-// minus the diagnostics: Push dirties every word the sp interval can reach,
-// mode-addressed write-backs dirty their resolved word, CSTORE dirties its
-// cond word (old-value write-back). CEXEC early exits only *shrink* the set
-// of executed instructions, so ignoring the halt (while still joining the
-// sp intervals it can leave behind) stays a conservative superset.
-std::vector<bool> mayWriteWords(const Program& program, std::size_t maxHops) {
-  const std::size_t pmemWords = program.pmemWords;
-  std::vector<bool> dirty(pmemWords, false);
-  const auto wordCap = static_cast<std::int64_t>(pmemWords);
-  const auto mark = [&](std::int64_t w) {
-    if (w >= 0 && w < wordCap) dirty[static_cast<std::size_t>(w)] = true;
-  };
-
-  std::int64_t spLo = program.initialSp;
-  std::int64_t spHi = program.initialSp;
-  for (std::size_t hop = 0; hop < maxHops; ++hop) {
-    std::int64_t lo = spLo;
-    std::int64_t hi = spHi;
-    std::int64_t exitLo = lo;
-    std::int64_t exitHi = hi;
-    bool anyDirtied = false;
-    const auto markTracking = [&](std::int64_t w) {
-      if (w >= 0 && w < wordCap && !dirty[static_cast<std::size_t>(w)]) {
-        mark(w);
-        anyDirtied = true;
-      }
-    };
-
-    for (const auto& in : program.instructions) {
-      switch (in.op) {
-        case Opcode::Push:
-          for (std::int64_t w = lo / 4; w <= hi / 4; ++w) markTracking(w);
-          lo += 4;
-          hi += 4;
-          break;
-        case Opcode::Pop:
-          lo = std::max<std::int64_t>(0, lo - 4);
-          hi = std::max<std::int64_t>(0, hi - 4);
-          break;
-        case Opcode::Cstore:
-          markTracking(in.pmemOff);
-          break;
-        case Opcode::Cexec:
-          exitLo = std::min(exitLo, lo);
-          exitHi = std::max(exitHi, hi);
-          break;
-        default:
-          if (isModeAddressed(in.op) && in.op != Opcode::Store) {
-            const std::int64_t w =
-                program.mode == AddressingMode::Hop
-                    ? static_cast<std::int64_t>(hop) * program.perHopWords +
-                          in.pmemOff
-                    : in.pmemOff;
-            markTracking(w);
-          }
-          break;
-      }
-    }
-
-    lo = std::min(lo, exitLo);
-    hi = std::max(hi, exitHi);
-    if (program.mode != AddressingMode::Hop && lo == spLo && hi == spHi &&
-        !anyDirtied) {
-      break;  // stack-mode fixpoint: further hops repeat these transitions
-    }
-    spLo = lo;
-    spHi = hi;
-  }
-  return dirty;
+std::string instrRef(const Effect& e) {
+  return " (instruction " + std::to_string(e.instructionIndex) +
+         " of program " + std::to_string(e.programIndex) + ")";
 }
 
 // Only CEXEC pins on the immutable per-switch identity register prove two
@@ -170,16 +80,9 @@ void summarizeProgram(const Program& program, EffectSummary& summary,
   const std::size_t programIndex = summary.programCount;
   summary.programCount += 1;
 
-  const std::vector<bool> dirty = mayWriteWords(program, maxHops);
+  const std::vector<bool> dirty = mayWriteSet(program, maxHops);
   const std::size_t initialized =
       std::min<std::size_t>(program.initialPmem.size(), program.pmemWords);
-  // A word provably holds its initial-image value at *every* execution iff
-  // it is initialized and no path ever overwrites it.
-  const auto stableWord = [&](std::size_t w, std::uint32_t& out) {
-    if (w >= initialized || dirty[w]) return false;
-    out = program.initialPmem[w];
-    return true;
-  };
   // First-execution value: the initial image, regardless of later
   // overwrites (used for the CSTORE comparand, whose word is always
   // dirtied by the old-value write-back).
@@ -188,12 +91,18 @@ void summarizeProgram(const Program& program, EffectSummary& summary,
     out = program.initialPmem[w];
     return true;
   };
+  // A word provably holds its initial-image value at *every* execution iff
+  // it is initialized and no path ever overwrites it.
+  const auto stableWord = [&](std::size_t w, std::uint32_t& out) {
+    return w < initialized && !dirty[w] && initialWord(w, out);
+  };
 
   bool readsEpoch = false;
   std::vector<EffectGuard> guards;
   for (std::size_t i = 0; i < program.instructions.size(); ++i) {
     const auto& in = program.instructions[i];
-    if (in.op == Opcode::Nop) continue;
+    const auto access = opcodeInfo(in.op).switchAccess;
+    if (access == SwitchAccess::None) continue;
     if (in.addr == addr::SwitchBootEpoch) readsEpoch = true;
 
     Effect e;
@@ -201,32 +110,22 @@ void summarizeProgram(const Program& program, EffectSummary& summary,
     e.instructionIndex = static_cast<int>(i);
     e.programIndex = programIndex;
     e.guards = guards;
-    switch (in.op) {
-      case Opcode::Store:
-      case Opcode::Pop:
-        e.kind = EffectKind::Write;
-        break;
-      case Opcode::Cstore: {
-        e.kind = EffectKind::Rmw;
-        e.condKnown = initialWord(in.pmemOff, e.cond);
-        e.srcKnown = stableWord(in.pmemOff + 1u, e.src);
-        break;
-      }
-      default:
-        e.kind = EffectKind::Read;
-        break;
+    if (access == SwitchAccess::Write) {
+      e.kind = EffectKind::Write;
+    } else if (access == SwitchAccess::ReadModifyWrite) {
+      e.kind = EffectKind::Rmw;
+      e.condKnown = initialWord(in.pmemOff, e.cond);
+      e.srcKnown = stableWord(in.pmemOff + 1u, e.src);
+    } else {
+      e.kind = EffectKind::Read;
     }
     summary.effects.push_back(std::move(e));
 
     if (in.op == Opcode::Cexec) {
       EffectGuard g;
       g.addr = in.addr;
-      std::uint32_t mask = 0;
-      std::uint32_t value = 0;
-      g.known = stableWord(in.pmemOff, mask) &&
-                stableWord(in.pmemOff + 1u, value);
-      g.mask = mask;
-      g.value = value;
+      g.known = stableWord(in.pmemOff, g.mask) &&
+                stableWord(in.pmemOff + 1u, g.value);
       guards.push_back(g);
     }
   }
@@ -244,6 +143,7 @@ EffectSummary summarize(const Program& program, std::string name,
 InterferenceReport analyzeInterference(std::span<const EffectSummary> tasks,
                                        const InterferenceOptions& opts) {
   InterferenceReport report;
+  const MemoryMap& map = MemoryMap::standard();
 
   // ------------------------------------------ pairwise conflict matrix
   // Only scratch words can be written by TPPs, so only they can race.
@@ -304,74 +204,69 @@ InterferenceReport analyzeInterference(std::span<const EffectSummary> tasks,
         constexpr int kWrite = static_cast<int>(EffectKind::Write);
         constexpr int kRmw = static_cast<int>(EffectKind::Rmw);
 
-        Conflict c;
-        c.address = address;
-        c.taskA = ia;
-        c.taskB = ib;
-        const std::string where = describeAddress(address);
-        const auto instr = [](const Effect* e) {
-          return " (instruction " + std::to_string(e->instructionIndex) +
-                 " of program " + std::to_string(e->programIndex) + ")";
+        const std::string where = map.describeAddress(address);
+        const auto conflict = [&](ConflictKind kind, Severity severity,
+                                  std::string message) {
+          return Conflict{kind, severity, address, ia, ib, std::move(message)};
+        };
+        // The witnesses of a live plain write against an `other`-kind
+        // access, and their tasks, oriented so the plain writer comes first.
+        struct Oriented {
+          const Effect& w;
+          const Effect& r;
+          const EffectSummary& sw;
+          const EffectSummary& sr;
+        };
+        const auto orient = [&](int other) {
+          const bool aWrites = live[kWrite][other];
+          return aWrites ? Oriented{*witness[kWrite][other][0],
+                                    *witness[kWrite][other][1], sa, sb}
+                         : Oriented{*witness[other][kWrite][1],
+                                    *witness[other][kWrite][0], sb, sa};
         };
 
         if (live[kWrite][kRmw] || live[kRmw][kWrite]) {
-          // Orient so "A" is the plain writer.
-          const bool aWrites = live[kWrite][kRmw];
-          const Effect* w = aWrites ? witness[kWrite][kRmw][0]
-                                    : witness[kRmw][kWrite][1];
-          const Effect* r = aWrites ? witness[kWrite][kRmw][1]
-                                    : witness[kRmw][kWrite][0];
-          const auto& sw = aWrites ? sa : sb;
-          const auto& sr = aWrites ? sb : sa;
-          c.kind = ConflictKind::LostUpdate;
-          c.severity = Severity::Error;
-          c.message = "task " + taskRef(sw) + " plain-writes " + where +
-                      instr(w) + " while task " + taskRef(sr) +
-                      " updates it with CSTORE" + instr(r) +
-                      "; the plain write defeats the compare-and-swap "
-                      "(lost update)";
-          addFinding(report, std::move(c));
+          const auto [w, r, sw, sr] = orient(kRmw);
+          addFinding(report,
+                     conflict(ConflictKind::LostUpdate, Severity::Error,
+                              "task " + taskRef(sw) + " plain-writes " +
+                                  where + instrRef(w) + " while task " +
+                                  taskRef(sr) + " updates it with CSTORE" +
+                                  instrRef(r) +
+                                  "; the plain write defeats the "
+                                  "compare-and-swap (lost update)"));
         } else if (live[kWrite][kWrite]) {
-          const Effect* ea = witness[kWrite][kWrite][0];
-          const Effect* eb = witness[kWrite][kWrite][1];
-          c.kind = ConflictKind::WriteWrite;
-          c.severity = Severity::Error;
-          c.message = "tasks " + taskRef(sa) + instr(ea) + " and " +
-                      taskRef(sb) + instr(eb) + " both plain-write " + where +
-                      "; the last writer silently wins";
-          addFinding(report, std::move(c));
+          addFinding(report,
+                     conflict(ConflictKind::WriteWrite, Severity::Error,
+                              "tasks " + taskRef(sa) +
+                                  instrRef(*witness[kWrite][kWrite][0]) +
+                                  " and " + taskRef(sb) +
+                                  instrRef(*witness[kWrite][kWrite][1]) +
+                                  " both plain-write " + where +
+                                  "; the last writer silently wins"));
         } else if (live[kWrite][kRead] || live[kRead][kWrite]) {
-          const bool aWrites = live[kWrite][kRead];
-          const Effect* w = aWrites ? witness[kWrite][kRead][0]
-                                    : witness[kRead][kWrite][1];
-          const Effect* r = aWrites ? witness[kWrite][kRead][1]
-                                    : witness[kRead][kWrite][0];
-          const auto& sw = aWrites ? sa : sb;
-          const auto& sr = aWrites ? sb : sa;
-          c.kind = ConflictKind::ReadWrite;
-          c.severity = Severity::Warning;
-          c.message = "task " + taskRef(sw) + " plain-writes " + where +
-                      instr(w) + " while task " + taskRef(sr) + " reads it" +
-                      instr(r) +
-                      " without coordination; the reader observes arbitrary "
-                      "interleavings";
-          addFinding(report, std::move(c));
+          const auto [w, r, sw, sr] = orient(kRead);
+          addFinding(report,
+                     conflict(ConflictKind::ReadWrite, Severity::Warning,
+                              "task " + taskRef(sw) + " plain-writes " +
+                                  where + instrRef(w) + " while task " +
+                                  taskRef(sr) + " reads it" + instrRef(r) +
+                                  " without coordination; the reader "
+                                  "observes arbitrary interleavings"));
         } else if (live[kRmw][kRmw] || live[kRmw][kRead] ||
                    live[kRead][kRmw]) {
-          c.kind = ConflictKind::SharedRmw;
-          c.severity = Severity::Warning;  // recorded, never counted
-          c.message = "tasks " + taskRef(sa) + " and " + taskRef(sb) +
-                      " share " + where +
-                      " through atomic CSTORE updates (coordinated)";
-          report.benign.push_back(std::move(c));
+          // Benign findings keep Warning severity but are never counted.
+          report.benign.push_back(conflict(
+              ConflictKind::SharedRmw, Severity::Warning,
+              "tasks " + taskRef(sa) + " and " + taskRef(sb) + " share " +
+                  where + " through atomic CSTORE updates (coordinated)"));
         } else if (sawPair) {
-          c.kind = ConflictKind::GuardDisjoint;
-          c.severity = Severity::Warning;
-          c.message = "tasks " + taskRef(sa) + " and " + taskRef(sb) +
-                      " touch " + where +
-                      " but are CEXEC-pinned to different [Switch:SwitchID] "
-                      "values; they never execute on the same switch";
-          report.benign.push_back(std::move(c));
+          report.benign.push_back(conflict(
+              ConflictKind::GuardDisjoint, Severity::Warning,
+              "tasks " + taskRef(sa) + " and " + taskRef(sb) + " touch " +
+                  where +
+                  " but are CEXEC-pinned to different [Switch:SwitchID] "
+                  "values; they never execute on the same switch"));
         }
       }
     }
@@ -382,9 +277,9 @@ InterferenceReport analyzeInterference(std::span<const EffectSummary> tasks,
   // about *how* a lock word is used, not about who else is present.
   for (const auto& lock : opts.locks) {
     const std::string lockName =
-        lock.name.empty() ? describeAddress(lock.lockAddress)
+        lock.name.empty() ? map.describeAddress(lock.lockAddress)
                           : "'" + lock.name + "' " +
-                                describeAddress(lock.lockAddress);
+                                map.describeAddress(lock.lockAddress);
     for (std::size_t t = 0; t < tasks.size(); ++t) {
       const auto& s = tasks[t];
       bool anyLockRmw = false;
@@ -394,34 +289,25 @@ InterferenceReport analyzeInterference(std::span<const EffectSummary> tasks,
         }
       }
       for (const auto& e : s.effects) {
+        const auto lockError = [&](ConflictKind kind, std::string message) {
+          addFinding(report, Conflict{kind, Severity::Error, e.address, t, t,
+                                      std::move(message)});
+        };
         if (e.address == lock.lockAddress) {
           if (e.kind == EffectKind::Write) {
-            Conflict c;
-            c.kind = ConflictKind::LockPlainWrite;
-            c.severity = Severity::Error;
-            c.address = lock.lockAddress;
-            c.taskA = c.taskB = t;
-            c.message = "task " + taskRef(s) + " plain-writes lock word " +
-                        lockName + " (instruction " +
-                        std::to_string(e.instructionIndex) + " of program " +
-                        std::to_string(e.programIndex) +
-                        "); lock words may only be mutated with CSTORE";
-            addFinding(report, std::move(c));
+            lockError(ConflictKind::LockPlainWrite,
+                      "task " + taskRef(s) + " plain-writes lock word " +
+                          lockName + instrRef(e) +
+                          "; lock words may only be mutated with CSTORE");
           } else if (e.kind == EffectKind::Rmw &&
                      (e.programIndex >= s.programReadsEpoch.size() ||
                       !s.programReadsEpoch[e.programIndex])) {
-            Conflict c;
-            c.kind = ConflictKind::LockNoEpochCheck;
-            c.severity = Severity::Error;
-            c.address = lock.lockAddress;
-            c.taskA = c.taskB = t;
-            c.message =
-                "task " + taskRef(s) + " CSTOREs lock word " + lockName +
-                " (instruction " + std::to_string(e.instructionIndex) +
-                " of program " + std::to_string(e.programIndex) +
-                ") without reading [Switch:BootEpoch] in the same program; "
-                "a reboot-wiped lock cannot be told apart from a held one";
-            addFinding(report, std::move(c));
+            lockError(ConflictKind::LockNoEpochCheck,
+                      "task " + taskRef(s) + " CSTOREs lock word " +
+                          lockName + instrRef(e) +
+                          " without reading [Switch:BootEpoch] in the same "
+                          "program; a reboot-wiped lock cannot be told apart "
+                          "from a held one");
           }
           continue;
         }
@@ -430,19 +316,12 @@ InterferenceReport analyzeInterference(std::span<const EffectSummary> tasks,
                       lock.protectedAddresses.end(),
                       e.address) != lock.protectedAddresses.end();
         if (isProtected && e.kind == EffectKind::Write && !anyLockRmw) {
-          Conflict c;
-          c.kind = ConflictKind::LockNoAcquire;
-          c.severity = Severity::Error;
-          c.address = e.address;
-          c.taskA = c.taskB = t;
-          c.message = "task " + taskRef(s) + " plain-writes " +
-                      describeAddress(e.address) + ", protected by lock " +
-                      lockName + " (instruction " +
-                      std::to_string(e.instructionIndex) + " of program " +
-                      std::to_string(e.programIndex) +
-                      "), but never CSTOREs the lock — mutation without "
-                      "holding the (id, epoch) proof";
-          addFinding(report, std::move(c));
+          lockError(ConflictKind::LockNoAcquire,
+                    "task " + taskRef(s) + " plain-writes " +
+                        map.describeAddress(e.address) +
+                        ", protected by lock " + lockName + instrRef(e) +
+                        ", but never CSTOREs the lock — mutation without "
+                        "holding the (id, epoch) proof");
         }
       }
     }

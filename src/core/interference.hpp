@@ -9,10 +9,11 @@
 //      switch-visible address it touches, the access kind (read, plain
 //      write, or CSTORE read-modify-write) together with the CEXEC guard
 //      conditions under which the access fires. Guard immediates are
-//      resolved against the initialized packet-memory image, using the same
-//      stack-pointer interval walk as the verifier to prove the operand
-//      words are never overwritten in flight (otherwise the guard is
-//      recorded as unknown, which is conservative).
+//      resolved against the initialized packet-memory image. The verifier's
+//      own abstract walk (walk.hpp, mayWriteSet) proves the operand words
+//      are never overwritten in flight; otherwise the guard is recorded as
+//      unknown, which is conservative. The access kinds come from the ISA
+//      table's switch-memory column (isa.hpp).
 //
 //   2. analyzeInterference() takes the summaries of every concurrently
 //      deployed task and builds a pairwise conflict matrix over the

@@ -5,25 +5,35 @@
 namespace tpp::core {
 namespace {
 
-constexpr std::array<std::pair<Opcode, std::string_view>, 11> kNames{{
-    {Opcode::Nop, "NOP"},
-    {Opcode::Load, "LOAD"},
-    {Opcode::Store, "STORE"},
-    {Opcode::Push, "PUSH"},
-    {Opcode::Pop, "POP"},
-    {Opcode::Cstore, "CSTORE"},
-    {Opcode::Cexec, "CEXEC"},
-    {Opcode::Add, "ADD"},
-    {Opcode::Sub, "SUB"},
-    {Opcode::Min, "MIN"},
-    {Opcode::Max, "MAX"},
-}};
-
-bool validOpcode(std::uint8_t raw) {
-  return raw <= static_cast<std::uint8_t>(Opcode::Max);
-}
+constexpr std::array<OpcodeInfo, 256> kIsa = [] {
+  using O = Operands;
+  using A = SwitchAccess;
+  std::array<OpcodeInfo, 256> t{};
+  const auto row = [&t](Opcode op, OpcodeInfo info) {
+    t[static_cast<std::uint8_t>(op)] = info;
+  };
+  // clang-format off
+  //                  name      operands        mode   reads  writes switch                sp
+  row(Opcode::Nop,    {"NOP",    O::None,        false, false, false, A::None,            0});
+  row(Opcode::Load,   {"LOAD",   O::AddrPmem,    true,  false, true,  A::Read,            0});
+  row(Opcode::Store,  {"STORE",  O::AddrPmem,    true,  true,  false, A::Write,           0});
+  row(Opcode::Push,   {"PUSH",   O::Addr,        false, false, false, A::Read,            4});
+  row(Opcode::Pop,    {"POP",    O::Addr,        false, false, false, A::Write,          -4});
+  row(Opcode::Cstore, {"CSTORE", O::AddrTwoPmem, false, true,  true,  A::ReadModifyWrite, 0});
+  row(Opcode::Cexec,  {"CEXEC",  O::AddrTwoPmem, false, true,  false, A::Read,            0});
+  row(Opcode::Add,    {"ADD",    O::AddrPmem,    true,  true,  true,  A::Read,            0});
+  row(Opcode::Sub,    {"SUB",    O::AddrPmem,    true,  true,  true,  A::Read,            0});
+  row(Opcode::Min,    {"MIN",    O::AddrPmem,    true,  true,  true,  A::Read,            0});
+  row(Opcode::Max,    {"MAX",    O::AddrPmem,    true,  true,  true,  A::Read,            0});
+  // clang-format on
+  return t;
+}();
 
 }  // namespace
+
+const OpcodeInfo& opcodeInfo(Opcode op) {
+  return kIsa[static_cast<std::uint8_t>(op)];
+}
 
 std::uint32_t Instruction::encode() const {
   return (static_cast<std::uint32_t>(op) << 24) |
@@ -33,7 +43,7 @@ std::uint32_t Instruction::encode() const {
 
 std::optional<Instruction> Instruction::decode(std::uint32_t word) {
   const auto raw = static_cast<std::uint8_t>(word >> 24);
-  if (!validOpcode(raw)) return std::nullopt;
+  if (kIsa[raw].name.empty()) return std::nullopt;
   Instruction i;
   i.op = static_cast<Opcode>(raw);
   i.addr = static_cast<std::uint16_t>(word >> 8);
@@ -42,23 +52,24 @@ std::optional<Instruction> Instruction::decode(std::uint32_t word) {
 }
 
 bool writesSwitchMemory(Opcode op) {
-  return op == Opcode::Store || op == Opcode::Pop || op == Opcode::Cstore;
+  const auto access = opcodeInfo(op).switchAccess;
+  return access == SwitchAccess::Write ||
+         access == SwitchAccess::ReadModifyWrite;
 }
 
 bool takesTwoPmemWords(Opcode op) {
-  return op == Opcode::Cstore || op == Opcode::Cexec;
+  return opcodeInfo(op).operands == Operands::AddrTwoPmem;
 }
 
 std::string_view opcodeName(Opcode op) {
-  for (const auto& [o, n] : kNames) {
-    if (o == op) return n;
-  }
-  return "INVALID";
+  const auto name = opcodeInfo(op).name;
+  return name.empty() ? "INVALID" : name;
 }
 
 std::optional<Opcode> opcodeFromName(std::string_view name) {
-  for (const auto& [o, n] : kNames) {
-    if (n == name) return o;
+  if (name.empty()) return std::nullopt;  // the unassigned rows' name
+  for (std::size_t b = 0; b < kIsa.size(); ++b) {
+    if (kIsa[b].name == name) return static_cast<Opcode>(b);
   }
   return std::nullopt;
 }

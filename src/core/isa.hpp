@@ -55,12 +55,39 @@ struct Instruction {
   bool operator==(const Instruction&) const = default;
 };
 
+// Paper Table 1 as data: every per-opcode fact the assembler, verifier and
+// interference analyzer need, in one row per opcode byte.
+enum class Operands : std::uint8_t {
+  None,         // NOP
+  Addr,         // PUSH/POP [addr]
+  AddrPmem,     // LOAD/STORE/arith [addr], [Packet:off]
+  AddrTwoPmem,  // CSTORE/CEXEC [addr], [Packet:off], [Packet:off+1]
+};
+
+enum class SwitchAccess : std::uint8_t { None, Read, Write, ReadModifyWrite };
+
+struct OpcodeInfo {
+  std::string_view name;  // empty for bytes no opcode is assigned to
+  Operands operands = Operands::None;
+  // The packet-memory operand resolves through the addressing mode (hop
+  // base + offset in hop mode); CSTORE/CEXEC pairs are always absolute.
+  bool modeAddressed = false;
+  bool readsPacketOperand = false;   // all of its [Packet:N] words
+  bool writesPacketOperand = false;  // its first [Packet:N] word
+  SwitchAccess switchAccess = SwitchAccess::None;
+  std::int8_t stackDelta = 0;  // bytes the stack pointer moves
+};
+
+// The row for `op`'s byte; unassigned bytes get an empty row.
+const OpcodeInfo& opcodeInfo(Opcode op);
+
 // True for opcodes that write to switch memory (used by the security layer
 // to enforce read-only TPP policies at untrusted edges).
 bool writesSwitchMemory(Opcode op);
 // True for opcodes whose extra operands occupy pmem[off] and pmem[off+1].
 bool takesTwoPmemWords(Opcode op);
 
+// "INVALID" for unassigned bytes.
 std::string_view opcodeName(Opcode op);
 std::optional<Opcode> opcodeFromName(std::string_view name);
 

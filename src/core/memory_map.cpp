@@ -1,5 +1,7 @@
 #include "src/core/memory_map.hpp"
 
+#include <cstdio>
+
 namespace tpp::core {
 
 const MemoryMap& MemoryMap::standard() {
@@ -123,6 +125,13 @@ const StatInfo* MemoryMap::lookup(std::uint16_t address) const {
     if (s.address == address) return &s;
   }
   return nullptr;
+}
+
+std::string MemoryMap::describeAddress(std::uint16_t address) const {
+  char buf[8];
+  std::snprintf(buf, sizeof buf, "0x%04x", address);
+  if (const auto* s = lookup(address)) return "[" + s->name + "] (" + buf + ")";
+  return std::string(buf);
 }
 
 StatNamespace MemoryMap::namespaceOf(std::uint16_t address) {

@@ -150,6 +150,9 @@ class MemoryMap {
   std::optional<std::uint16_t> resolve(std::string_view name) const;
   // Reverse lookup for disassembly; nullptr if the address has no name.
   const StatInfo* lookup(std::uint16_t address) const;
+  // "[Namespace:Statistic] (0xADDR)" for named addresses, else "0xADDR" —
+  // the form every diagnostic quotes a switch address in.
+  std::string describeAddress(std::uint16_t address) const;
 
   // Namespace classification is positional and needs no map.
   static StatNamespace namespaceOf(std::uint16_t address);

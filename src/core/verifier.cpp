@@ -5,33 +5,10 @@
 #include <cstdlib>
 #include <tuple>
 
+#include "src/core/walk.hpp"
+
 namespace tpp::core {
 namespace {
-
-// Three-valued initialization state of one packet-memory word: written on
-// no path / some paths / every path.
-enum class Init : std::uint8_t { No, Maybe, Yes };
-
-Init join(Init a, Init b) { return a == b ? a : Init::Maybe; }
-
-// Abstract per-hop machine state: a stack-pointer interval (in bytes) plus
-// the initialization lattice. Exact within a hop except across CEXEC exits.
-struct AbsState {
-  std::int64_t spLo = 0;
-  std::int64_t spHi = 0;
-  std::vector<Init> words;
-
-  bool operator==(const AbsState&) const = default;
-};
-
-AbsState joinState(AbsState a, const AbsState& b) {
-  a.spLo = std::min(a.spLo, b.spLo);
-  a.spHi = std::max(a.spHi, b.spHi);
-  for (std::size_t i = 0; i < a.words.size(); ++i) {
-    a.words[i] = join(a.words[i], b.words[i]);
-  }
-  return a;
-}
 
 // Distinguishes multiple findings anchored at the same instruction so each
 // is reported once (at the earliest hop that trips it).
@@ -76,60 +53,6 @@ class Emitter {
   VerifyResult& result_;
   std::vector<std::tuple<int, int, int>> seen_;
 };
-
-std::string describeAddress(const MemoryMap& map, std::uint16_t address) {
-  char buf[8];
-  std::snprintf(buf, sizeof buf, "0x%04x", address);
-  if (const auto* s = map.lookup(address)) {
-    return "[" + s->name + "] (" + buf + ")";
-  }
-  return std::string(buf);
-}
-
-bool readsSwitchMemory(Opcode op) { return op != Opcode::Nop; }
-
-// Mode-addressed operands: LOAD/STORE/arith go through effectiveIndex();
-// CSTORE/CEXEC operand pairs are always absolute immediates.
-bool isModeAddressed(Opcode op) {
-  switch (op) {
-    case Opcode::Load:
-    case Opcode::Store:
-    case Opcode::Add:
-    case Opcode::Sub:
-    case Opcode::Min:
-    case Opcode::Max:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool readsPmemOperand(Opcode op) {
-  switch (op) {
-    case Opcode::Store:
-    case Opcode::Add:
-    case Opcode::Sub:
-    case Opcode::Min:
-    case Opcode::Max:
-      return true;
-    default:
-      return false;
-  }
-}
-
-// Statistic namespaces require an entry in the map; scratch regions are
-// valid end to end (they are plain word arrays on the switch).
-bool namespaceNeedsMapEntry(StatNamespace ns) {
-  switch (ns) {
-    case StatNamespace::Switch:
-    case StatNamespace::Port:
-    case StatNamespace::PacketMeta:
-    case StatNamespace::Queue:
-      return true;
-    default:
-      return false;
-  }
-}
 
 }  // namespace
 
@@ -225,23 +148,25 @@ VerifyResult verify(const Program& program, const MemoryMap& map,
       continue;  // operand fields are meaningless
     }
 
-    if (readsSwitchMemory(in.op)) {
+    if (opcodeInfo(in.op).switchAccess != SwitchAccess::None) {
       const auto ns = MemoryMap::namespaceOf(in.addr);
       if (ns == StatNamespace::Unmapped) {
         emit.emit(Severity::Error, Check::AddressRange, idx, kTagDefault + 1,
-                  "switch address " + describeAddress(map, in.addr) +
+                  "switch address " + map.describeAddress(in.addr) +
                       " falls outside every namespace (faults "
                       "UnmappedAddress)");
-      } else if (namespaceNeedsMapEntry(ns) && map.lookup(in.addr) == nullptr) {
+      } else if (!MemoryMap::writable(in.addr) &&
+                 map.lookup(in.addr) == nullptr) {
+        // Statistics need a map entry; scratch words are valid end to end.
         emit.emit(Severity::Error, Check::AddressRange, idx, kTagDefault + 1,
-                  "switch address " + describeAddress(map, in.addr) +
+                  "switch address " + map.describeAddress(in.addr) +
                       " names no statistic in the memory map (faults "
                       "UnmappedAddress)");
       } else if (enforcing && MemoryMap::writable(in.addr) &&
                  !opts.grants->allows(program.taskId, in.addr)) {
         const bool writes = writesSwitchMemory(in.op);
         std::string msg = std::string(writes ? "writes" : "reads") +
-                          " scratch " + describeAddress(map, in.addr) +
+                          " scratch " + map.describeAddress(in.addr) +
                           " outside task " + std::to_string(program.taskId) +
                           "'s SRAM grant windows (faults GrantViolation)";
         if (std::any_of(ins.begin(), ins.begin() + idx,
@@ -257,7 +182,7 @@ VerifyResult verify(const Program& program, const MemoryMap& map,
       if (writesSwitchMemory(in.op) && !MemoryMap::writable(in.addr)) {
         emit.emit(Severity::Error, Check::WritePermission, idx, kTagDefault,
                   std::string(opcodeName(in.op)) + " destination " +
-                      describeAddress(map, in.addr) +
+                      map.describeAddress(in.addr) +
                       " is a read-only statistic (faults "
                       "ReadOnlyViolation)");
       }
@@ -275,7 +200,7 @@ VerifyResult verify(const Program& program, const MemoryMap& map,
                       "] overrun the " + std::to_string(pmemWords) +
                       "-word packet memory");
       }
-    } else if (isModeAddressed(in.op) &&
+    } else if (opcodeInfo(in.op).modeAddressed &&
                program.mode == AddressingMode::Stack &&
                in.pmemOff >= pmemWords) {
       emit.emit(Severity::Error, Check::AddressRange, idx, kTagDefault + 2,
@@ -290,7 +215,7 @@ VerifyResult verify(const Program& program, const MemoryMap& map,
     std::size_t touched = 0;  // words per hop actually addressed
     bool any = false;
     for (const auto& in : ins) {
-      if (isModeAddressed(in.op)) {
+      if (opcodeInfo(in.op).modeAddressed) {
         any = true;
         touched = std::max<std::size_t>(touched, in.pmemOff + 1u);
       }
@@ -318,25 +243,12 @@ VerifyResult verify(const Program& program, const MemoryMap& map,
     return result;
   }
 
-  AbsState state;
-  state.spLo = state.spHi = program.initialSp;
-  state.words.assign(pmemWords, Init::No);
-  const std::size_t initialized =
-      std::min<std::size_t>(program.initialPmem.size(), pmemWords);
-  std::fill(state.words.begin(),
-            state.words.begin() + static_cast<std::ptrdiff_t>(initialized),
-            Init::Yes);
+  // Diagnostics for what the shared stack-pointer walk (walk.hpp) finds.
+  struct Diagnose : WalkVisitor {
+    Emitter& emit;
+    const Program& program;
 
-  const auto wordCap = static_cast<std::int64_t>(pmemWords);
-
-  for (std::size_t hop = 0; hop < opts.maxHops; ++hop) {
-    AbsState cur = state;
-    std::vector<AbsState> cexecExits;
-
-    // Reports a read of packet-memory word `w` (exact index).
-    auto readWord = [&](int idx, std::int64_t w) {
-      if (w < 0 || w >= wordCap) return;  // bounds reported elsewhere
-      const Init st = cur.words[static_cast<std::size_t>(w)];
+    void read(int idx, std::int64_t w, Init st) {
       if (st == Init::No) {
         emit.emit(Severity::Warning, Check::UseBeforeInit, idx, kTagReadUninit,
                   "reads packet-memory word " + std::to_string(w) +
@@ -348,106 +260,29 @@ VerifyResult verify(const Program& program, const MemoryMap& map,
                       " before it is initialized (a CEXEC-skipped pass "
                       "leaves it unwritten)");
       }
-    };
-    auto writeWord = [&](std::int64_t w, bool exact) {
-      if (w < 0 || w >= wordCap) return;
-      auto& slot = cur.words[static_cast<std::size_t>(w)];
-      slot = exact ? Init::Yes : join(slot, Init::Yes);
-    };
-
-    for (std::size_t i = 0; i < ins.size(); ++i) {
-      const auto& in = ins[i];
-      const int idx = static_cast<int>(i);
-      const bool exactSp = cur.spLo == cur.spHi;
-
-      switch (in.op) {
-        case Opcode::Nop:
-          break;
-        case Opcode::Push: {
-          const std::int64_t hiIdx = cur.spHi / 4;
-          if (hiIdx >= wordCap) {
-            emit.emit(Severity::Error, Check::StackGrowth, idx, kTagOverflow,
-                      "PUSH may write packet-memory word " +
-                          std::to_string(hiIdx) + " at hop " +
-                          std::to_string(hop) + ", beyond the " +
-                          std::to_string(pmemWords) +
-                          "-word packet memory (faults PmemOutOfBounds)");
-          }
-          for (std::int64_t w = cur.spLo / 4; w <= hiIdx; ++w) {
-            writeWord(w, exactSp);
-          }
-          cur.spLo += 4;
-          cur.spHi += 4;
-          break;
-        }
-        case Opcode::Pop: {
-          if (cur.spLo < 4) {
-            emit.emit(Severity::Error, Check::StackGrowth, idx, kTagUnderflow,
-                      "POP may underflow the stack at hop " +
-                          std::to_string(hop) +
-                          " (stack pointer can reach " +
-                          std::to_string(cur.spLo) +
-                          " bytes; faults PmemOutOfBounds)");
-          }
-          const std::int64_t hiIdx = cur.spHi / 4 - 1;
-          if (hiIdx >= wordCap) {
-            emit.emit(Severity::Error, Check::StackGrowth, idx, kTagOverflow,
-                      "POP may read packet-memory word " +
-                          std::to_string(hiIdx) + " at hop " +
-                          std::to_string(hop) + ", beyond the " +
-                          std::to_string(pmemWords) +
-                          "-word packet memory (faults PmemOutOfBounds)");
-          }
-          if (exactSp) readWord(idx, hiIdx);
-          cur.spLo = std::max<std::int64_t>(0, cur.spLo - 4);
-          cur.spHi = std::max<std::int64_t>(0, cur.spHi - 4);
-          break;
-        }
-        case Opcode::Load:
-        case Opcode::Store:
-        case Opcode::Add:
-        case Opcode::Sub:
-        case Opcode::Min:
-        case Opcode::Max: {
-          const std::int64_t w =
-              program.mode == AddressingMode::Hop
-                  ? static_cast<std::int64_t>(hop) * program.perHopWords +
-                        in.pmemOff
-                  : in.pmemOff;
-          if (program.mode == AddressingMode::Hop && w >= wordCap) {
-            emit.emit(Severity::Error, Check::StackGrowth, idx, kTagOverflow,
-                      "hop-mode operand resolves to packet-memory word " +
-                          std::to_string(w) + " at hop " +
-                          std::to_string(hop) + ", beyond the " +
-                          std::to_string(pmemWords) +
-                          "-word packet memory (faults HopOverflow)");
-          }
-          if (readsPmemOperand(in.op)) readWord(idx, w);
-          if (in.op != Opcode::Store) writeWord(w, true);
-          break;
-        }
-        case Opcode::Cstore:
-          readWord(idx, in.pmemOff);
-          readWord(idx, in.pmemOff + 1);
-          // Always writes back the observed switch value.
-          writeWord(in.pmemOff, true);
-          break;
-        case Opcode::Cexec:
-          readWord(idx, in.pmemOff);
-          readWord(idx, in.pmemOff + 1);
-          // A failed predicate ends this hop's execution here.
-          cexecExits.push_back(cur);
-          break;
-      }
     }
-
-    for (const auto& exit : cexecExits) cur = joinState(std::move(cur), exit);
-
-    // In stack mode a stable state means every further hop repeats the
-    // same transitions; hop-mode indices keep moving with the hop count.
-    if (program.mode != AddressingMode::Hop && cur == state) break;
-    state = std::move(cur);
-  }
+    void overflow(int idx, std::int64_t w, std::size_t hop) {
+      const Opcode op = program.instructions[idx].op;
+      const auto delta = opcodeInfo(op).stackDelta;
+      const std::string what =
+          delta == 0 ? "hop-mode operand resolves to"
+                     : std::string(opcodeName(op)) +
+                           (delta > 0 ? " may write" : " may read");
+      emit.emit(Severity::Error, Check::StackGrowth, idx, kTagOverflow,
+                what + " packet-memory word " + std::to_string(w) +
+                    " at hop " + std::to_string(hop) + ", beyond the " +
+                    std::to_string(program.pmemWords) +
+                    "-word packet memory (faults " +
+                    (delta == 0 ? "HopOverflow" : "PmemOutOfBounds") + ")");
+    }
+    void underflow(int idx, std::int64_t sp, std::size_t hop) {
+      emit.emit(Severity::Error, Check::StackGrowth, idx, kTagUnderflow,
+                "POP may underflow the stack at hop " + std::to_string(hop) +
+                    " (stack pointer can reach " + std::to_string(sp) +
+                    " bytes; faults PmemOutOfBounds)");
+    }
+  } diagnose{{}, emit, program};
+  walkHops(program, opts.maxHops, diagnose);
 
   return result;
 }

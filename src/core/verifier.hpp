@@ -3,15 +3,11 @@
 // end-hosts before injection, so multi-tenant safety does not depend on
 // catching runtime faults at hop 3).
 //
-// verify() runs an abstract interpretation of a Program against a MemoryMap
-// (and, optionally, the control-plane agent's SRAM grants), simulating the
-// packet-memory and stack effects of every hop up to a configurable hop
-// count. Within one hop execution is linear — the only control transfer the
-// ISA has is CEXEC, which truncates the rest of the program — so the
-// abstract state per hop is exact up to CEXEC outcomes; across hops the
-// verifier joins the "predicate held" and "predicate failed" exits, giving
-// a stack-pointer interval and a three-valued initialization state per
-// packet-memory word.
+// verify() checks a Program against a MemoryMap (and, optionally, the
+// control-plane agent's SRAM grants): a per-instruction pass over operands
+// and addresses, then the abstract walk of walk.hpp — a stack-pointer
+// interval and a three-valued initialization state per packet-memory word,
+// simulated for every hop up to a configurable hop count.
 //
 // Checks (individually toggleable via VerifyOptions::checks):
 //   Budget          §3.3 instruction budget: warns past 5 instructions,

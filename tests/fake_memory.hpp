@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <vector>
 
 #include "src/tcpu/tcpu.hpp"
 
@@ -14,6 +15,7 @@ class FakeMemory final : public tcpu::AddressSpace {
   std::uint16_t readOnlyAbove = 0xffff;  // addresses >= this are read-only
   std::uint16_t deniedTask = 0xffff;     // this task is grant-denied
   std::size_t reads = 0;                 // read() calls, faulted ones too
+  std::vector<std::uint16_t> writeLog;   // address of every successful write
 
   ReadResult read(std::uint16_t address, std::uint16_t taskId) override {
     ++reads;
@@ -33,6 +35,7 @@ class FakeMemory final : public tcpu::AddressSpace {
     if (address >= readOnlyAbove) return core::Fault::ReadOnlyViolation;
     if (!words.contains(address)) return core::Fault::UnmappedAddress;
     words[address] = value;
+    writeLog.push_back(address);
     return core::Fault::None;
   }
 };

@@ -2,8 +2,27 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace tpp::core {
 namespace {
+
+constexpr Opcode kAllOpcodes[] = {
+    Opcode::Nop, Opcode::Load,   Opcode::Store, Opcode::Push,
+    Opcode::Pop, Opcode::Cstore, Opcode::Cexec, Opcode::Add,
+    Opcode::Sub, Opcode::Min,    Opcode::Max};
+
+// The opcodes whose ISA-table row satisfies `pred`, in opcode order.
+template <class Pred>
+std::vector<Opcode> opcodesWhere(Pred pred) {
+  std::vector<Opcode> out;
+  for (const Opcode op : kAllOpcodes) {
+    if (pred(opcodeInfo(op))) out.push_back(op);
+  }
+  return out;
+}
+
+using Ops = std::vector<Opcode>;
 
 TEST(Isa, EncodeLayout) {
   const Instruction i{Opcode::Load, 0xb000, 0x07};
@@ -39,6 +58,23 @@ TEST(Isa, WritesSwitchMemoryClassification) {
   EXPECT_FALSE(writesSwitchMemory(Opcode::Cexec));
   EXPECT_FALSE(writesSwitchMemory(Opcode::Add));
   EXPECT_FALSE(writesSwitchMemory(Opcode::Nop));
+
+  const auto access = [](SwitchAccess a) {
+    return opcodesWhere(
+        [a](const OpcodeInfo& info) { return info.switchAccess == a; });
+  };
+  EXPECT_EQ(access(SwitchAccess::None), (Ops{Opcode::Nop}));
+  EXPECT_EQ(access(SwitchAccess::Read),
+            (Ops{Opcode::Load, Opcode::Push, Opcode::Cexec, Opcode::Add,
+                 Opcode::Sub, Opcode::Min, Opcode::Max}));
+  EXPECT_EQ(access(SwitchAccess::Write), (Ops{Opcode::Store, Opcode::Pop}));
+  EXPECT_EQ(access(SwitchAccess::ReadModifyWrite), (Ops{Opcode::Cstore}));
+  for (const Opcode op : kAllOpcodes) {
+    const auto a = opcodeInfo(op).switchAccess;
+    EXPECT_EQ(writesSwitchMemory(op), a == SwitchAccess::Write ||
+                                          a == SwitchAccess::ReadModifyWrite)
+        << opcodeName(op);
+  }
 }
 
 TEST(Isa, TwoWordOperandClassification) {
@@ -46,6 +82,57 @@ TEST(Isa, TwoWordOperandClassification) {
   EXPECT_TRUE(takesTwoPmemWords(Opcode::Cexec));
   EXPECT_FALSE(takesTwoPmemWords(Opcode::Load));
   EXPECT_FALSE(takesTwoPmemWords(Opcode::Push));
+
+  const auto shape = [](Operands o) {
+    return opcodesWhere([o](const OpcodeInfo& i) { return i.operands == o; });
+  };
+  EXPECT_EQ(shape(Operands::None), (Ops{Opcode::Nop}));
+  EXPECT_EQ(shape(Operands::Addr), (Ops{Opcode::Push, Opcode::Pop}));
+  EXPECT_EQ(shape(Operands::AddrPmem),
+            (Ops{Opcode::Load, Opcode::Store, Opcode::Add, Opcode::Sub,
+                 Opcode::Min, Opcode::Max}));
+  EXPECT_EQ(shape(Operands::AddrTwoPmem), (Ops{Opcode::Cstore, Opcode::Cexec}));
+  for (const Opcode op : kAllOpcodes) {
+    EXPECT_EQ(takesTwoPmemWords(op),
+              opcodeInfo(op).operands == Operands::AddrTwoPmem)
+        << opcodeName(op);
+  }
+
+  EXPECT_EQ(opcodesWhere([](const OpcodeInfo& i) { return i.modeAddressed; }),
+            (Ops{Opcode::Load, Opcode::Store, Opcode::Add, Opcode::Sub,
+                 Opcode::Min, Opcode::Max}));
+  EXPECT_EQ(
+      opcodesWhere([](const OpcodeInfo& i) { return i.readsPacketOperand; }),
+      (Ops{Opcode::Store, Opcode::Cstore, Opcode::Cexec, Opcode::Add,
+           Opcode::Sub, Opcode::Min, Opcode::Max}));
+  EXPECT_EQ(
+      opcodesWhere([](const OpcodeInfo& i) { return i.writesPacketOperand; }),
+      (Ops{Opcode::Load, Opcode::Cstore, Opcode::Add, Opcode::Sub,
+           Opcode::Min, Opcode::Max}));
+  EXPECT_EQ(opcodesWhere([](const OpcodeInfo& i) { return i.stackDelta > 0; }),
+            (Ops{Opcode::Push}));
+  EXPECT_EQ(opcodesWhere([](const OpcodeInfo& i) { return i.stackDelta < 0; }),
+            (Ops{Opcode::Pop}));
+  EXPECT_EQ(opcodeInfo(Opcode::Push).stackDelta, 4);
+  EXPECT_EQ(opcodeInfo(Opcode::Pop).stackDelta, -4);
+}
+
+TEST(Isa, DecodeAcceptsExactlyTheTableBytes) {
+  // Bytes 0x00..0x0a are the eleven opcodes; every other byte is unassigned
+  // and must fail to decode (the TCPU faults BadInstruction on it).
+  for (unsigned b = 0; b < 256; ++b) {
+    const auto op = static_cast<Opcode>(b);
+    const bool assigned = b <= 0x0a;
+    EXPECT_EQ(Instruction::decode(b << 24).has_value(), assigned) << b;
+    EXPECT_EQ(!opcodeInfo(op).name.empty(), assigned) << b;
+    if (assigned) {
+      EXPECT_EQ(opcodeFromName(opcodeName(op)), op) << b;
+    } else {
+      EXPECT_EQ(opcodeName(op), "INVALID") << b;
+    }
+  }
+  EXPECT_FALSE(opcodeFromName("").has_value());
+  EXPECT_FALSE(opcodeFromName("INVALID").has_value());
 }
 
 TEST(Isa, NameRoundTrip) {
@@ -71,9 +158,7 @@ TEST_P(IsaRoundTrip, EncodeDecodeIdentity) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllOpcodes, IsaRoundTrip,
-    ::testing::Values(Opcode::Nop, Opcode::Load, Opcode::Store, Opcode::Push,
-                      Opcode::Pop, Opcode::Cstore, Opcode::Cexec, Opcode::Add,
-                      Opcode::Sub, Opcode::Min, Opcode::Max),
+    ::testing::ValuesIn(kAllOpcodes),
     [](const auto& info) {
       return std::string(opcodeName(info.param));
     });

@@ -15,11 +15,13 @@
 #include "src/host/collector.hpp"
 #include "src/host/topology.hpp"
 #include "src/sim/random.hpp"
+#include "tests/test_util.hpp"
 
 namespace tpp::core {
 namespace {
 
 using host::Testbed;
+using test::randomCandidateProgram;
 
 bool anyMessageContains(const VerifyResult& r, std::string_view needle) {
   for (const auto& d : r.diagnostics) {
@@ -200,39 +202,6 @@ TEST(Verifier, DiagnosticsCarryAssemblerLines) {
 }
 
 // ------------------------------------------- differential property test
-
-// Random programs biased toward plausible switch addresses so a useful
-// fraction passes verification; the rest exercises the rejection paths.
-Program randomCandidateProgram(sim::Rng& rng) {
-  static constexpr std::uint16_t kPool[] = {
-      addr::SwitchId,       addr::QueueBytes,  addr::TimeLo,
-      addr::LinkCapacityMbps, addr::MatchedEntryId, addr::InputPort,
-      addr::TxUtilization,  addr::PortQueueBytes, addr::RcpRateRegister,
-      kSramBase,            kSramBase + 9,     kPortScratchBase + 3,
-  };
-  ProgramBuilder b;
-  const auto instrs = rng.uniformInt(0, 8);
-  for (std::int64_t i = 0; i < instrs; ++i) {
-    const auto op = static_cast<Opcode>(rng.uniformInt(0, 10));
-    auto addr16 = rng.bernoulli(0.85)
-                      ? kPool[rng.uniformInt(0, std::size(kPool) - 1)]
-                      : static_cast<std::uint16_t>(rng.uniformInt(0, 0xffff));
-    auto off = static_cast<std::uint8_t>(rng.uniformInt(0, 12));
-    if (op == Opcode::Nop) {
-      addr16 = 0;
-      off = 0;
-    }
-    if (op == Opcode::Push || op == Opcode::Pop) off = 0;
-    b.raw({op, addr16, off});
-  }
-  b.task(static_cast<std::uint16_t>(rng.uniformInt(0, 3)));
-  if (rng.bernoulli(0.3)) {
-    b.mode(AddressingMode::Hop);
-    b.perHop(static_cast<std::uint8_t>(rng.uniformInt(1, 4)));
-  }
-  b.reserve(static_cast<std::uint8_t>(rng.uniformInt(0, 32)));
-  return *b.build();
-}
 
 TEST(VerifierDifferential, AcceptedProgramsNeverFaultOnTheWire) {
   // Soundness contract: zero errors against the standard map and
