@@ -15,9 +15,9 @@ net::PacketPtr Host::makeUdpFrame(net::MacAddress dstMac,
                                    net::Ipv4Address dstIp,
                                    std::uint16_t srcPort,
                                    std::uint16_t dstPort,
-                                   std::span<const std::uint8_t> payload) {
+                                   std::size_t payloadBytes) {
   const std::size_t ipLen =
-      net::kIpv4HeaderSize + net::kUdpHeaderSize + payload.size();
+      net::kIpv4HeaderSize + net::kUdpHeaderSize + payloadBytes;
   const std::size_t frameLen = net::kEthernetHeaderSize + ipLen;
   auto packet = net::Packet::make(std::max(frameLen, net::kMinFrameSize));
   packet->createdAt = sim_.now();
@@ -35,15 +35,21 @@ net::PacketPtr Host::makeUdpFrame(net::MacAddress dstMac,
   net::UdpHeader udp;
   udp.srcPort = srcPort;
   udp.dstPort = dstPort;
-  udp.length = static_cast<std::uint16_t>(net::kUdpHeaderSize + payload.size());
+  udp.length = static_cast<std::uint16_t>(net::kUdpHeaderSize + payloadBytes);
   udp.write(packet->span().subspan(net::kEthernetHeaderSize +
                                    net::kIpv4HeaderSize));
+  return packet;
+}
 
+net::PacketPtr Host::makeUdpFrame(net::MacAddress dstMac,
+                                   net::Ipv4Address dstIp,
+                                   std::uint16_t srcPort,
+                                   std::uint16_t dstPort,
+                                   std::span<const std::uint8_t> payload) {
+  auto packet = makeUdpFrame(dstMac, dstIp, srcPort, dstPort, payload.size());
   std::copy(payload.begin(), payload.end(),
             packet->bytes().begin() +
-                static_cast<std::ptrdiff_t>(net::kEthernetHeaderSize +
-                                            net::kIpv4HeaderSize +
-                                            net::kUdpHeaderSize));
+                static_cast<std::ptrdiff_t>(kUdpPayloadOffset));
   return packet;
 }
 
@@ -136,48 +142,48 @@ void Host::receive(net::PacketPtr packet, std::size_t port) {
       for (const auto& handler : tppArrival_) handler(echoScratch_);
     }
     if (parsed->ip && parsed->udp && parsed->udp->dstPort == kTppEchoPort) {
-      echoExecutedTpp(*packet, *parsed->tppOffset, *parsed->ip, *parsed->udp);
+      echoExecutedTpp(*packet, *parsed);
       return;
     }
     if (!core::stripTppShim(*packet)) return;
+    // Stripping moved every header after the shim: parse the frame again.
+    parsed = asic::parsePacket(*packet);
+    if (!parsed) return;
   }
-  deliverUdp(*packet);
+  deliverUdp(*packet, *parsed);
 }
 
-void Host::echoExecutedTpp(const net::Packet& packet, std::size_t tppOffset,
-                           const net::Ipv4Header& ip,
-                           const net::UdpHeader& udp) {
-  auto view = core::TppView::at(const_cast<net::Packet&>(packet), tppOffset);
+void Host::echoExecutedTpp(net::Packet& packet,
+                           const asic::ParsedPacket& parsed) {
+  auto view = core::TppView::at(packet, *parsed.tppOffset);
   if (!view) return;
   const std::size_t body = view->tppSizeBytes();
   std::span<const std::uint8_t> tppBytes =
-      packet.span().subspan(tppOffset, body);
-
-  const auto eth = net::EthernetHeader::parse(packet.span());
-  if (!eth) return;
+      packet.span().subspan(*parsed.tppOffset, body);
   ++echoed_;
-  sendUdp(eth->src, ip.src, udp.dstPort, udp.srcPort, tppBytes);
+  sendUdp(parsed.eth.src, parsed.ip->src, parsed.udp->dstPort,
+          parsed.udp->srcPort, tppBytes);
 }
 
-void Host::deliverUdp(net::Packet& packet) {
-  auto parsed = asic::parsePacket(packet);
-  if (!parsed || !parsed->ip || !parsed->udp) return;
-  if (parsed->ip->dst != ip_) return;
+void Host::deliverUdp(const net::Packet& packet,
+                      const asic::ParsedPacket& parsed) {
+  if (!parsed.ip || !parsed.udp) return;
+  if (parsed.ip->dst != ip_) return;
 
   // Echo-port traffic carries executed TPP bytes as its payload.
-  if (parsed->udp->dstPort == kTppEchoPort ||
-      parsed->udp->srcPort == kTppEchoPort) {
+  if (parsed.udp->dstPort == kTppEchoPort ||
+      parsed.udp->srcPort == kTppEchoPort) {
     if (!tppResult_.empty()) {
       // Parse an ExecutedTpp straight out of the payload bytes, reusing the
       // scratch object's capacity (steady-state echoes allocate nothing).
       const std::size_t payloadLen =
-          parsed->udp->length >= net::kUdpHeaderSize
-              ? parsed->udp->length - net::kUdpHeaderSize
+          parsed.udp->length >= net::kUdpHeaderSize
+              ? parsed.udp->length - net::kUdpHeaderSize
               : 0;
-      if (parsed->l4PayloadOffset + payloadLen <= packet.size() &&
+      if (parsed.l4PayloadOffset + payloadLen <= packet.size() &&
           payloadLen > 0 &&
           core::parseExecutedInto(
-              packet.span().subspan(parsed->l4PayloadOffset, payloadLen),
+              packet.span().subspan(parsed.l4PayloadOffset, payloadLen),
               echoScratch_)) {
         for (const auto& handler : tppResult_) handler(echoScratch_);
       }
@@ -185,20 +191,21 @@ void Host::deliverUdp(net::Packet& packet) {
     return;
   }
 
-  const auto it = udpHandlers_.find(parsed->udp->dstPort);
+  const auto it = udpHandlers_.find(parsed.udp->dstPort);
   if (it == udpHandlers_.end()) return;
   const std::size_t payloadLen =
-      parsed->udp->length >= net::kUdpHeaderSize
-          ? parsed->udp->length - net::kUdpHeaderSize
+      parsed.udp->length >= net::kUdpHeaderSize
+          ? parsed.udp->length - net::kUdpHeaderSize
           : 0;
-  if (parsed->l4PayloadOffset + payloadLen > packet.size()) return;
+  if (parsed.l4PayloadOffset + payloadLen > packet.size()) return;
   UdpDatagram dgram;
-  dgram.srcIp = parsed->ip->src;
-  dgram.dstIp = parsed->ip->dst;
-  dgram.srcPort = parsed->udp->srcPort;
-  dgram.dstPort = parsed->udp->dstPort;
-  dgram.ecn = parsed->ip->ecn;
-  dgram.payload = packet.span().subspan(parsed->l4PayloadOffset, payloadLen);
+  dgram.srcMac = parsed.eth.src;
+  dgram.srcIp = parsed.ip->src;
+  dgram.dstIp = parsed.ip->dst;
+  dgram.srcPort = parsed.udp->srcPort;
+  dgram.dstPort = parsed.udp->dstPort;
+  dgram.ecn = parsed.ip->ecn;
+  dgram.payload = packet.span().subspan(parsed.l4PayloadOffset, payloadLen);
   dgram.packet = &packet;
   it->second(dgram);
 }

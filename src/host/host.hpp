@@ -24,11 +24,21 @@
 #include "src/net/node.hpp"
 #include "src/sim/simulator.hpp"
 
+namespace tpp::asic {
+struct ParsedPacket;
+}  // namespace tpp::asic
+
 namespace tpp::host {
 
 inline constexpr std::uint16_t kTppEchoPort = 11111;
 
+// Where the UDP payload starts in a frame built by Host::makeUdpFrame.
+inline constexpr std::size_t kUdpPayloadOffset =
+    net::kEthernetHeaderSize + net::kIpv4HeaderSize + net::kUdpHeaderSize;
+
 struct UdpDatagram {
+  // The frame's Ethernet source: the reply address for passive openers.
+  net::MacAddress srcMac;
   net::Ipv4Address srcIp;
   net::Ipv4Address dstIp;
   std::uint16_t srcPort = 0;
@@ -79,6 +89,11 @@ class Host : public net::Node {
   net::PacketPtr makeUdpFrame(net::MacAddress dstMac, net::Ipv4Address dstIp,
                               std::uint16_t srcPort, std::uint16_t dstPort,
                               std::span<const std::uint8_t> payload);
+  // The same frame with a zeroed `payloadBytes`-long payload at
+  // kUdpPayloadOffset, for callers that serialize straight into it.
+  net::PacketPtr makeUdpFrame(net::MacAddress dstMac, net::Ipv4Address dstIp,
+                              std::uint16_t srcPort, std::uint16_t dstPort,
+                              std::size_t payloadBytes);
 
   // Builds (but does not send) the probe frame sendProbe() would transmit.
   // The ReliableProber builds each probe's frame once and clones it for
@@ -123,9 +138,9 @@ class Host : public net::Node {
   std::uint32_t tracerActor() const { return actor_; }
 
  private:
-  void deliverUdp(net::Packet& packet);
-  void echoExecutedTpp(const net::Packet& packet, std::size_t tppOffset,
-                       const net::Ipv4Header& ip, const net::UdpHeader& udp);
+  // Both take the frame's one parse from receive().
+  void deliverUdp(const net::Packet& packet, const asic::ParsedPacket& parsed);
+  void echoExecutedTpp(net::Packet& packet, const asic::ParsedPacket& parsed);
 
   sim::Simulator& sim_;
   net::MacAddress mac_;

@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "src/net/byte_io.hpp"
-#include "src/net/ethernet.hpp"
 
 namespace tpp::host {
 
@@ -18,30 +17,55 @@ bool seqLe(std::uint32_t a, std::uint32_t b) { return !seqLt(b, a); }
 bool seqGt(std::uint32_t a, std::uint32_t b) { return seqLt(b, a); }
 bool seqGe(std::uint32_t a, std::uint32_t b) { return !seqLt(a, b); }
 
-// FNV-1a over the segment bytes with the checksum field read as zero.
+std::uint32_t loadLe32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
+
+// Ones'-complement sum of the segment's little-endian 32-bit words in a
+// 64-bit accumulator, the checksum word (bytes 16..19) read as zero and a
+// short tail zero-padded, folded to 32 bits. `bytes` holds at least the
+// header.
 std::uint32_t segmentChecksum(std::span<const std::uint8_t> bytes) {
-  std::uint32_t h = 2166136261u;
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    const std::uint8_t b = (i >= 16 && i < 20) ? 0 : bytes[i];
-    h = (h ^ b) * 16777619u;
-  }
-  return h;
+  const std::uint8_t* p = bytes.data();
+  const std::size_t n = bytes.size();
+  std::uint64_t sum = 0;
+  for (std::size_t i = 0; i < 16; i += 4) sum += loadLe32(p + i);
+  std::size_t i = TcpSegment::kHeaderBytes;
+  for (; i + 4 <= n; i += 4) sum += loadLe32(p + i);
+  std::uint8_t tail[4] = {};
+  std::copy(p + i, p + n, tail);
+  sum += loadLe32(tail);
+  sum = (sum & 0xffffffffu) + (sum >> 32);
+  sum = (sum & 0xffffffffu) + (sum >> 32);
+  return static_cast<std::uint32_t>(sum);
 }
 
 }  // namespace
 
 // ----------------------------------------------------------- TcpSegment
 
+void TcpSegment::writeHeader(std::span<std::uint8_t> segment) const {
+  segment[0] = flags;
+  segment[1] = static_cast<std::uint8_t>(spin & 1);
+  net::putBe16(segment, 2,
+               static_cast<std::uint16_t>(segment.size() - kHeaderBytes));
+  net::putBe32(segment, 4, seq);
+  net::putBe32(segment, 8, ack);
+  net::putBe32(segment, 12, wnd);
+}
+
+void TcpSegment::seal(std::span<std::uint8_t> segment) {
+  net::putBe32(segment, 16, segmentChecksum(segment));
+}
+
 void TcpSegment::serialize(std::vector<std::uint8_t>& out) const {
   out.resize(kHeaderBytes + payload.size());
-  out[0] = flags;
-  out[1] = static_cast<std::uint8_t>(spin & 1);
-  net::putBe16(out, 2, static_cast<std::uint16_t>(payload.size()));
-  net::putBe32(out, 4, seq);
-  net::putBe32(out, 8, ack);
-  net::putBe32(out, 12, wnd);
+  writeHeader(out);
   std::copy(payload.begin(), payload.end(), out.begin() + kHeaderBytes);
-  net::putBe32(out, 16, segmentChecksum(out));
+  seal(out);
 }
 
 std::optional<TcpSegment> TcpSegment::parse(
@@ -59,6 +83,27 @@ std::optional<TcpSegment> TcpSegment::parse(
   s.wnd = *net::getBe32(bytes, 12);
   s.payload = bytes.subspan(kHeaderBytes);
   return s;
+}
+
+// ------------------------------------------------------------- pattern
+
+void tcpPatternFill(std::span<std::uint8_t> out, std::uint64_t streamOffset) {
+  std::uint64_t x = (streamOffset + 1) * kTcpPatternStep;
+  for (std::uint8_t& b : out) {
+    b = static_cast<std::uint8_t>(x ^ (x >> 29));
+    x += kTcpPatternStep;
+  }
+}
+
+std::uint64_t tcpPatternMismatches(std::span<const std::uint8_t> bytes,
+                                   std::uint64_t streamOffset) {
+  std::uint64_t x = (streamOffset + 1) * kTcpPatternStep;
+  std::uint64_t mismatches = 0;
+  for (const std::uint8_t b : bytes) {
+    mismatches += b != static_cast<std::uint8_t>(x ^ (x >> 29));
+    x += kTcpPatternStep;
+  }
+  return mismatches;
 }
 
 // -------------------------------------------------------- TcpConnection
@@ -435,21 +480,23 @@ void TcpConnection::cutCwnd(double factor, std::uint32_t reason) {
 
 void TcpConnection::emitSegment(std::uint8_t flags, std::uint32_t seq,
                                 std::uint32_t len) {
-  txBuf_.resize(TcpSegment::kHeaderBytes + len);
-  txBuf_[0] = flags;
+  TcpSegment header;
+  header.flags = flags;
   // Spin bit: the client sends the inverse of the last bit it saw, the
   // server echoes it — one flip per round trip for on-path observers.
-  txBuf_[1] = spinClient_ ? (peerSpin_ ^ 1) : peerSpin_;
-  net::putBe16(txBuf_, 2, static_cast<std::uint16_t>(len));
-  net::putBe32(txBuf_, 4, seq);
-  net::putBe32(txBuf_, 8, (flags & TcpSegment::kAck) != 0 ? rcvNxt_ : 0);
-  net::putBe32(txBuf_, 12, cfg_.rcvWndBytes);
-  const std::uint64_t base = seq - (iss_ + 1);  // stream offset of byte 0
-  for (std::uint32_t i = 0; i < len; ++i) {
-    txBuf_[TcpSegment::kHeaderBytes + i] = tcpPatternByte(base + i);
-  }
-  net::putBe32(txBuf_, 16, segmentChecksum(txBuf_));
-  host_.sendUdp(remoteMac_, remoteIp_, localPort_, remotePort_, txBuf_);
+  header.spin = spinClient_ ? (peerSpin_ ^ 1) : peerSpin_;
+  header.seq = seq;
+  header.ack = (flags & TcpSegment::kAck) != 0 ? rcvNxt_ : 0;
+  header.wnd = cfg_.rcvWndBytes;
+  // Header and pattern are written straight into the frame's UDP payload.
+  const std::size_t bytes = TcpSegment::kHeaderBytes + len;
+  net::PacketPtr frame =
+      host_.makeUdpFrame(remoteMac_, remoteIp_, localPort_, remotePort_, bytes);
+  const auto segment = frame->span().subspan(kUdpPayloadOffset, bytes);
+  header.writeHeader(segment);
+  tcpPatternFill(segment.subspan(TcpSegment::kHeaderBytes), seq - (iss_ + 1));
+  TcpSegment::seal(segment);
+  host_.transmit(std::move(frame));
 }
 
 void TcpConnection::processPayload(const TcpSegment& seg) {
@@ -460,10 +507,7 @@ void TcpConnection::processPayload(const TcpSegment& seg) {
 
   auto verify = [this](std::uint32_t firstSeq,
                        std::span<const std::uint8_t> bytes) {
-    const std::uint64_t base = firstSeq - (irs_ + 1);
-    for (std::size_t i = 0; i < bytes.size(); ++i) {
-      if (bytes[i] != tcpPatternByte(base + i)) ++patternErrors_;
-    }
+    patternErrors_ += tcpPatternMismatches(bytes, firstSeq - (irs_ + 1));
   };
 
   if (seqLe(end + (hasFin ? 1 : 0), rcvNxt_)) {
@@ -610,22 +654,15 @@ void TcpListener::onDatagram(const UdpDatagram& dgram) {
   }
   if (it == byPeer_.end()) {
     if (!(seg->syn() && !seg->hasAck())) return;  // no connection: ignore
-    if (dgram.packet == nullptr) return;
-    const auto eth = net::EthernetHeader::parse(dgram.packet->span());
-    if (!eth) return;
     auto conn = std::make_unique<TcpConnection>(host_, config_);
     TcpConnection* raw = conn.get();
     byPeer_.emplace(key, std::move(conn));
     order_.push_back(raw);
     if (accept_) accept_(*raw);
-    raw->accept(*seg, eth->src, dgram.srcIp, dgram.srcPort, port_);
+    raw->accept(*seg, dgram.srcMac, dgram.srcIp, dgram.srcPort, port_);
     return;
   }
-  if (dgram.packet != nullptr) {
-    if (const auto eth = net::EthernetHeader::parse(dgram.packet->span())) {
-      it->second->relearnPeerMac(eth->src);
-    }
-  }
+  it->second->relearnPeerMac(dgram.srcMac);
   it->second->onSegment(*seg);
 }
 

@@ -35,6 +35,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -53,7 +54,11 @@ namespace tpp::host {
 //   off 4  u32 seq
 //   off 8  u32 ack (valid when ACK set)
 //   off 12 u32 advertised window (bytes)
-//   off 16 u32 checksum (FNV-1a over the segment with this field zeroed)
+//   off 16 u32 checksum: the ones'-complement sum of the segment's
+//              little-endian 32-bit words (this field read as zero, a
+//              short tail zero-padded), folded to 32 bits. A single-bit
+//              flip changes the sum by ±2^k mod 2^32-1, never by 0, so the
+//              fault layer's one-bit corruptions are always caught.
 struct TcpSegment {
   static constexpr std::size_t kHeaderBytes = 20;
   static constexpr std::uint8_t kSyn = 1;
@@ -76,18 +81,36 @@ struct TcpSegment {
   bool hasAck() const { return (flags & kAck) != 0; }
   bool fin() const { return (flags & kFin) != 0; }
 
+  // Writes this header, all but the checksum, at the front of `segment`,
+  // whose size fixes the payload length. The one header writer: the
+  // caller then fills the payload and calls seal().
+  void writeHeader(std::span<std::uint8_t> segment) const;
+  // Stores the checksum of a complete segment (header + payload).
+  static void seal(std::span<std::uint8_t> segment);
   // Serializes header+payload into `out` (resized), checksum filled in.
   void serialize(std::vector<std::uint8_t>& out) const;
   // Parses and checksum-verifies. nullopt = truncated or corrupt.
   static std::optional<TcpSegment> parse(std::span<const std::uint8_t> bytes);
 };
 
-// Byte i of every synthetic TCP stream.
+inline constexpr std::uint64_t kTcpPatternStep = 0x9E3779B97F4A7C15ull;
+
+// Byte i of every synthetic TCP stream: the definition the fill and the
+// check below agree with.
 inline std::uint8_t tcpPatternByte(std::uint64_t streamOffset) {
-  std::uint64_t x = (streamOffset + 1) * 0x9E3779B97F4A7C15ull;
+  std::uint64_t x = (streamOffset + 1) * kTcpPatternStep;
   x ^= x >> 29;
   return static_cast<std::uint8_t>(x);
 }
+
+// out[i] = tcpPatternByte(streamOffset + i). The multiplier steps by one
+// addition per byte instead of a multiply, so the compiler can vectorize.
+void tcpPatternFill(std::span<std::uint8_t> out, std::uint64_t streamOffset);
+
+// How many bytes[i] differ from tcpPatternByte(streamOffset + i), counted
+// without a branch per byte.
+std::uint64_t tcpPatternMismatches(std::span<const std::uint8_t> bytes,
+                                   std::uint64_t streamOffset);
 
 class TcpConnection {
  public:
@@ -310,8 +333,6 @@ class TcpConnection {
   std::function<void()> established_;
   std::function<void()> closed_;
   std::function<void(const std::string&)> errorCb_;
-
-  std::vector<std::uint8_t> txBuf_;  // reused serialization scratch
 };
 
 // Accepts inbound connections on one UDP-encapsulated TCP port and demuxes
