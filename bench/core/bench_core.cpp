@@ -681,18 +681,13 @@ Metric benchTcpRtoRecovery() {
 }
 
 // ------------------------------------------------------------------------
-// 7. Sharded runner: events/sec vs thread count on a k=8 fat tree (128
-// hosts, 80 switches), 32 cross-pod paced flows through the core — the
-// links partitionFatTree cuts. t1 is the single-threaded baseline (the
-// ShardedSimulator 1-shard fast path IS the legacy loop); t2/t4 measure
-// the conservative-lookahead window machinery plus real parallelism when
-// cores are available. On a single-core box t2/t4 report the
-// synchronization overhead honestly rather than a speedup.
+// 7. Fabric events/sec on a k=8 fat tree (128 hosts, 80 switches), 32
+// cross-pod paced flows through the core.
 // ------------------------------------------------------------------------
 
-Metric benchShardScaling(std::size_t shards) {
+Metric benchFatTreeK8() {
   constexpr std::size_t k = 8;
-  host::Testbed tb(host::partitionFatTree(k, shards));
+  host::Testbed tb;
   const auto ix = buildFatTree(
       tb, k, host::LinkParams{10'000'000'000ULL, sim::Time::us(1)});
   std::vector<std::unique_ptr<host::PacedFlow>> flows;
@@ -719,11 +714,11 @@ Metric benchShardScaling(std::size_t shards) {
   const auto t1 = std::chrono::steady_clock::now();
   const auto allocs1 = g_allocCount.load(std::memory_order_relaxed);
   for (auto& f : flows) f->stop();
-  const std::uint64_t events = tb.sharded().eventsExecuted();
+  const std::uint64_t events = tb.sim().eventsExecuted();
   const double ns = static_cast<double>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
   Metric m;
-  m.name = "shard_events_per_sec_t" + std::to_string(shards);
+  m.name = "fattree_k8_events_per_sec";
   m.ops = events;
   m.nsPerOp = ns / static_cast<double>(events);
   m.opsPerSec = m.nsPerOp > 0 ? 1e9 / m.nsPerOp : 0;
@@ -738,8 +733,8 @@ Metric benchShardScaling(std::size_t shards) {
 // 8. Declarative scenario runner on a k=16 fat tree (1024 hosts, 320
 // switches): events/sec through the full runner path — parse-grade config,
 // compiled Poisson web-search schedule, TCP flows, TPP controllers, queue
-// samplers. A shortened slice of the `ctest -L scale` web-search scenario,
-// single shard so the figure is the deterministic sequential path.
+// samplers. A shortened slice of the `ctest -L scale` web-search
+// scenario.
 // ------------------------------------------------------------------------
 
 Metric benchScenarioK16() {
@@ -867,8 +862,7 @@ void writeJson(const char* path, const std::vector<Metric>& metrics) {
 // baseline's ratio. The anchor is the fastest of the transit self-gate's
 // kGateRounds timings, not the metric's single timing, so one hiccup while
 // the anchor is timed cannot move every ratio at once. Allocation counts
-// are machine-independent and gated absolutely. shard t2/t4 depend on the
-// runner's core count, so only their allocation counts are gated.
+// are machine-independent and gated absolutely.
 // ------------------------------------------------------------------------
 
 constexpr double kTimeTolerance = 1.75;
@@ -931,9 +925,7 @@ int checkAgainstBaseline(const std::vector<Metric>& metrics,
                    m.name.c_str(), m.allocsPerOp, baseAllocs, kAllocSlack);
       ++failures;
     }
-    const bool threadDependent = m.name == "shard_events_per_sec_t2" ||
-                                 m.name == "shard_events_per_sec_t4";
-    if (threadDependent || m.name == "link_transit_1500B") continue;
+    if (m.name == "link_transit_1500B") continue;
     const double ratio = m.nsPerOp / anchorNs;
     const double baseRatio = baseNs / anchorBase;
     if (ratio > baseRatio * kTimeTolerance) {
@@ -986,9 +978,7 @@ int main(int argc, char** argv) {
   metrics.push_back(benchTcpHandshake());
   metrics.push_back(benchTcpGoodputChain());
   metrics.push_back(benchTcpRtoRecovery());
-  for (std::size_t t : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    metrics.push_back(benchShardScaling(t));
-  }
+  metrics.push_back(benchFatTreeK8());
   metrics.push_back(benchScenarioK16());
   metrics.push_back(benchL3Match1024());
   metrics.push_back(benchFatTreeBuildK16());

@@ -1,64 +1,29 @@
 // tppscenario — the data-driven scenario runner CLI.
 //
 //   tppscenario <file.scn>                 run, print the summary
-//   tppscenario --shards N <file.scn>      override the config's shard count
-//   tppscenario --verify-shards A,B <file.scn>
-//                                          run at both shard counts in one
-//                                          process and fail (exit 1) unless
-//                                          the two summaries are byte-equal
 //   tppscenario --print-config <file.scn>  parse + echo the canonical form
 //
-// Exit codes: 0 success, 1 verification mismatch, 2 usage / parse error.
+// Exit codes: 0 success, 1 incomplete run, 2 usage / parse error.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
-#include <vector>
 
 #include "src/workload/scenario.hpp"
 
 namespace {
 
 void usage() {
-  std::fprintf(stderr,
-               "usage: tppscenario [--shards N] [--verify-shards A,B] "
-               "[--print-config] <file.scn>\n");
-}
-
-bool parseShardList(const std::string& arg, std::vector<std::size_t>& out) {
-  std::size_t pos = 0;
-  while (pos < arg.size()) {
-    std::size_t comma = arg.find(',', pos);
-    if (comma == std::string::npos) comma = arg.size();
-    const std::string tok = arg.substr(pos, comma - pos);
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(tok.c_str(), &end, 10);
-    if (end == tok.c_str() || *end != '\0' || v == 0 || v > 64) return false;
-    out.push_back(static_cast<std::size_t>(v));
-    pos = comma + 1;
-  }
-  return out.size() >= 2;
+  std::fprintf(stderr, "usage: tppscenario [--print-config] <file.scn>\n");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t shardsOverride = 0;
-  std::vector<std::size_t> verifyShards;
   bool printConfig = false;
   std::string path;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--shards") {
-      if (++i >= argc) { usage(); return 2; }
-      shardsOverride = static_cast<std::size_t>(std::strtoul(argv[i], nullptr, 10));
-      if (shardsOverride == 0 || shardsOverride > 64) { usage(); return 2; }
-    } else if (arg == "--verify-shards") {
-      if (++i >= argc || !parseShardList(argv[i], verifyShards)) {
-        usage();
-        return 2;
-      }
-    } else if (arg == "--print-config") {
+    if (arg == "--print-config") {
       printConfig = true;
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "tppscenario: unknown option '%s'\n", arg.c_str());
@@ -89,43 +54,10 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (!verifyShards.empty()) {
-    // The determinism claim under test: the printed summary is a pure
-    // function of (config, seed), not of the shard plan.
-    std::string reference;
-    std::size_t referenceShards = 0;
-    for (std::size_t shards : verifyShards) {
-      tpp::workload::RunOptions opts;
-      opts.shardsOverride = shards;
-      const auto run = tpp::workload::runScenario(parsed.config, opts);
-      const std::string summary = run.result.summaryText(parsed.config);
-      std::printf("--- shards=%zu (events=%llu)\n%s", shards,
-                  static_cast<unsigned long long>(run.result.eventsExecuted),
-                  summary.c_str());
-      if (reference.empty()) {
-        reference = summary;
-        referenceShards = shards;
-      } else if (summary != reference) {
-        std::fprintf(stderr,
-                     "tppscenario: summary DIVERGED between shards=%zu and "
-                     "shards=%zu\n",
-                     referenceShards, shards);
-        return 1;
-      }
-    }
-    std::printf("verify-shards OK: summaries byte-identical across %zu "
-                "shard counts\n",
-                verifyShards.size());
-    return 0;
-  }
-
-  tpp::workload::RunOptions opts;
-  opts.shardsOverride = shardsOverride;
-  const auto run = tpp::workload::runScenario(parsed.config, opts);
+  const auto run = tpp::workload::runScenario(parsed.config);
   std::fputs(run.result.summaryText(parsed.config).c_str(), stdout);
-  std::printf("events=%llu shards=%zu\n",
-              static_cast<unsigned long long>(run.result.eventsExecuted),
-              run.result.shards);
+  std::printf("events=%llu\n",
+              static_cast<unsigned long long>(run.result.eventsExecuted));
   if (run.result.flows == 0) {
     std::fprintf(stderr, "tppscenario: schedule compiled to zero flows\n");
     return 1;

@@ -19,8 +19,7 @@
 // Cost discipline: the instrumentation points in Switch are a single
 // `oracle_ != nullptr` test when disarmed (same pattern as the flight
 // recorder; enforced by bench_core's oracle_check_off self-gate). Each
-// oracle instance belongs to one switch and — under sharding — one shard
-// thread; it needs no locks.
+// oracle instance belongs to one switch; it needs no locks.
 #pragma once
 
 #include <cstdint>

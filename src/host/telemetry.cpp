@@ -316,47 +316,6 @@ void armTracing(Testbed& tb, sim::Tracer& tracer) {
   }
 }
 
-ShardedTrace::ShardedTrace(std::size_t shards, std::size_t capacity) {
-  if (shards == 0) shards = 1;
-  tracers_.reserve(shards);
-  for (std::size_t i = 0; i < shards; ++i) {
-    tracers_.push_back(std::make_unique<sim::Tracer>(capacity));
-  }
-}
-
-std::vector<std::uint8_t> ShardedTrace::merged() const {
-  std::vector<const sim::Tracer*> ptrs;
-  ptrs.reserve(tracers_.size());
-  for (const auto& t : tracers_) ptrs.push_back(t.get());
-  return sim::mergeTraces(ptrs);
-}
-
-void armTracing(Testbed& tb, ShardedTrace& trace) {
-  assert(trace.shardCount() == tb.sharded().shardCount() &&
-         "one recorder per shard");
-  for (std::size_t s = 0; s < tb.sharded().shardCount(); ++s) {
-    tb.sharded().shard(s).setTracer(&trace.shard(s));
-  }
-  for (std::size_t i = 0; i < tb.switchCount(); ++i) {
-    tb.sw(i).setTracer(&trace.shard(tb.shardOf(tb.sw(i))));
-  }
-  for (std::size_t i = 0; i < tb.hostCount(); ++i) {
-    tb.host(i).setTracer(&trace.shard(tb.shardOf(tb.host(i))));
-  }
-  for (std::size_t i = 0; i < tb.linkCount(); ++i) {
-    auto& l = tb.linkAt(i);
-    const std::string fwd = "link" + std::to_string(i) + ".fwd";
-    const std::string rev = "link" + std::to_string(i) + ".rev";
-    const auto [sa, sb] = tb.linkShards(i);
-    sim::Tracer& ta = trace.shard(sa);
-    sim::Tracer& tb2 = trace.shard(sb);
-    l.aToB().setTracer(&ta, ta.actor(fwd));
-    l.aToB().setRxTracer(&tb2, tb2.actor(fwd));
-    l.bToA().setTracer(&tb2, tb2.actor(rev));
-    l.bToA().setRxTracer(&ta, ta.actor(rev));
-  }
-}
-
 void bindProbeGauge(ReliableProber& prober, Testbed& tb, const Host& host) {
   const auto att = tb.attachmentOf(host);
   if (att.sw == nullptr) return;

@@ -77,41 +77,14 @@ std::string describeLifecycle(const ProbeLifecycle& lc,
 // idempotent (re-arming just re-interns the same actor names).
 void armTracing(Testbed& tb, sim::Tracer& tracer);
 
-// One flight recorder per shard. A Tracer ring is single-writer, so a
-// sharded run cannot share one; instead each shard's components record
-// into their own ring and merged() stitches the rings into one serialized
-// trace (sim::mergeTraces). With one shard, merged() is byte-identical to
-// the single Tracer's serialize() — the golden suite leans on that.
-class ShardedTrace {
- public:
-  explicit ShardedTrace(std::size_t shards, std::size_t capacity = 1u << 16);
-
-  std::size_t shardCount() const { return tracers_.size(); }
-  sim::Tracer& shard(std::size_t i) { return *tracers_.at(i); }
-  const sim::Tracer& shard(std::size_t i) const { return *tracers_.at(i); }
-
-  std::vector<std::uint8_t> merged() const;
-
- private:
-  std::vector<std::unique_ptr<sim::Tracer>> tracers_;
-};
-
-// Sharded arming: each component records into its own shard's ring, in the
-// same order armTracing uses (per-shard sims, switches, hosts, links).
-// Link directions split — LinkTxStart/fault records go to the transmitting
-// shard's ring, LinkDeliver to the receiving shard's. `trace` must have
-// exactly tb.sharded().shardCount() recorders.
-void armTracing(Testbed& tb, ShardedTrace& trace);
-
 // Binds a prober's outstanding-count gauge to its host's first-hop switch,
 // so TPPs from (and through) that port can read Link:ProbesInFlight.
 void bindProbeGauge(ReliableProber& prober, Testbed& tb, const Host& host);
 
 // ------------------------------------------------------ SRAM race oracle
 
-// One SramRaceOracle per switch of a Testbed. A switch's TCPU always runs
-// on its own shard's thread, so per-switch oracles need no locks even in
-// sharded runs; the aggregation methods are offline (post-run) only.
+// One SramRaceOracle per switch of a Testbed; the aggregation methods are
+// offline (post-run) only.
 class SramOracleSet {
  public:
   explicit SramOracleSet(std::size_t switches) : oracles_(switches) {}

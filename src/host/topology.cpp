@@ -9,11 +9,9 @@ namespace tpp::host {
 Host& Testbed::addHost(std::string name) {
   const auto n = static_cast<std::uint32_t>(hosts_.size() + 1);
   if (name.empty()) name = "h" + std::to_string(n - 1);
-  const std::size_t shard = plan_.forHost(hosts_.size());
-  hosts_.push_back(std::make_unique<Host>(ssim_->shard(shard), std::move(name),
+  hosts_.push_back(std::make_unique<Host>(sim_, std::move(name),
                                           net::MacAddress::fromIndex(n),
                                           net::Ipv4Address::forHost(n)));
-  nodeShard_[hosts_.back().get()] = shard;
   return *hosts_.back();
 }
 
@@ -22,30 +20,16 @@ asic::Switch& Testbed::addSwitch(asic::SwitchConfig config, std::string name) {
     config.switchId = static_cast<std::uint32_t>(switches_.size() + 1);
   }
   if (name.empty()) name = "sw" + std::to_string(switches_.size());
-  const std::size_t shard = plan_.forSwitch(switches_.size());
-  switches_.push_back(std::make_unique<asic::Switch>(ssim_->shard(shard),
-                                                     std::move(name), config));
-  nodeShard_[switches_.back().get()] = shard;
+  switches_.push_back(
+      std::make_unique<asic::Switch>(sim_, std::move(name), config));
   return *switches_.back();
 }
 
 net::DuplexLink& Testbed::link(net::Node& a, std::size_t portA, net::Node& b,
                                std::size_t portB, std::uint64_t rateBps,
                                sim::Time delay) {
-  const std::size_t sa = shardOf(a);
-  const std::size_t sb = shardOf(b);
-  // Each direction serializes on its transmitting endpoint's shard.
-  links_.push_back(net::DuplexLink::connect(ssim_->shard(sa), ssim_->shard(sb),
-                                            a, portA, b, portB, rateBps,
-                                            delay));
-  if (sa != sb) {
-    // A shard boundary: deliveries hop shards through SPSC channels, and
-    // the link's propagation delay becomes a lookahead bound (so it must
-    // be positive — addChannel asserts).
-    net::DuplexLink& l = *links_.back();
-    l.aToB().setCrossShard(&ssim_->addChannel(sa, sb, delay));
-    l.bToA().setCrossShard(&ssim_->addChannel(sb, sa, delay));
-  }
+  links_.push_back(
+      net::DuplexLink::connect(sim_, a, portA, b, portB, rateBps, delay));
   edges_.push_back(Edge{&a, portA, &b, portB});
   return *links_.back();
 }
@@ -284,32 +268,6 @@ std::vector<PathOracle::Hop> PathOracle::path(const Host& src,
     cur = it->second[match->outPort];
   }
   return {};  // > 64 hops: a loop
-}
-
-ShardPlan partitionFatTree(std::size_t k, std::size_t shards) {
-  assert(k >= 2 && k % 2 == 0);
-  FatTreeIndex ix;
-  ix.k = k;
-  const std::size_t r = ix.radix();
-  ShardPlan plan;
-  plan.shards = shards == 0 ? 1 : shards;
-  plan.switchShard.assign(ix.coreCount() + k * k, 0);
-  plan.hostShard.assign(ix.hostCount(), 0);
-  if (plan.shards == 1) return plan;
-  // Cores spread evenly; each pod (aggs, edges, hosts) lands wholesale on
-  // the shard of its contiguous block, so only agg<->core links cross.
-  for (std::size_t c = 0; c < ix.coreCount(); ++c) {
-    plan.switchShard[ix.coreSw(c)] = c * plan.shards / ix.coreCount();
-  }
-  for (std::size_t p = 0; p < k; ++p) {
-    const std::size_t s = p * plan.shards / k;
-    for (std::size_t a = 0; a < r; ++a) plan.switchShard[ix.aggSw(p, a)] = s;
-    for (std::size_t e = 0; e < r; ++e) {
-      plan.switchShard[ix.edgeSw(p, e)] = s;
-      for (std::size_t h = 0; h < r; ++h) plan.hostShard[ix.host(p, e, h)] = s;
-    }
-  }
-  return plan;
 }
 
 void buildStar(Testbed& tb, std::size_t senders, LinkParams lp,

@@ -1,6 +1,6 @@
-// Testbed: owns a (possibly sharded) simulator, switches, hosts and links,
-// wires them up, and installs shortest-path routes — the scaffolding every
-// experiment, test and bench builds on.
+// Testbed: owns the simulator, switches, hosts and links, wires them up,
+// and installs shortest-path routes — the scaffolding every experiment,
+// test and bench builds on.
 #pragma once
 
 #include <cstdint>
@@ -13,56 +13,18 @@
 #include "src/core/interference.hpp"
 #include "src/host/host.hpp"
 #include "src/net/link.hpp"
-#include "src/sim/shard.hpp"
 #include "src/sim/simulator.hpp"
 
 namespace tpp::host {
 
-// How a testbed's nodes map onto simulation shards, by creation index
-// (switch 0 is the first addSwitch call, host 0 the first addHost). Indices
-// past the end of a vector fall back to shard 0, so the default-constructed
-// plan is "everything on one shard" — the legacy single-threaded testbed.
-struct ShardPlan {
-  std::size_t shards = 1;
-  std::vector<std::size_t> switchShard;
-  std::vector<std::size_t> hostShard;
-
-  std::size_t forSwitch(std::size_t i) const {
-    return i < switchShard.size() ? switchShard[i] : 0;
-  }
-  std::size_t forHost(std::size_t i) const {
-    return i < hostShard.size() ? hostShard[i] : 0;
-  }
-};
-
 class Testbed {
  public:
-  Testbed() : Testbed(ShardPlan{}) {}
-  // A sharded testbed: nodes land on the shard the plan names, and every
-  // link whose endpoints live on different shards becomes a shard boundary
-  // (its propagation delay must be > 0 — it bounds the lookahead).
-  explicit Testbed(ShardPlan plan) : plan_(std::move(plan)) {
-    ssim_ = std::make_unique<sim::ShardedSimulator>(
-        plan_.shards == 0 ? 1 : plan_.shards);
-  }
+  // The one simulator every node of this testbed runs on.
+  sim::Simulator& sim() { return sim_; }
 
-  // Shard 0's simulator. For a default (1-shard) testbed this is *the*
-  // simulator, exactly as before; sharded scenarios that need a specific
-  // component's clock use simOf() instead.
-  sim::Simulator& sim() { return ssim_->shard(0); }
-  sim::ShardedSimulator& sharded() { return *ssim_; }
-
-  // Runs the whole testbed (all shards) until `until`. Returns events
-  // executed. The 1-shard case is exactly sim().run(until).
+  // Runs the simulator until `until`; returns the events executed.
   std::uint64_t run(sim::Time until = sim::Time::max()) {
-    return ssim_->run(until);
-  }
-
-  // The shard a node was placed on, and that shard's simulator — sharded
-  // scenarios schedule a component's driver events on its own shard.
-  std::size_t shardOf(const net::Node& n) const { return nodeShard_.at(&n); }
-  sim::Simulator& simOf(const net::Node& n) {
-    return ssim_->shard(shardOf(n));
+    return sim_.run(until);
   }
 
   // Creates a host with deterministic MAC 02:00:…:<n> and IP 10.0.0.<n>.
@@ -86,12 +48,6 @@ class Testbed {
   // Links in wiring order (fault scenarios arm specific channels).
   net::DuplexLink& linkAt(std::size_t i) { return *links_.at(i); }
   std::size_t linkCount() const { return links_.size(); }
-  // Shards of link i's two endpoints, in (a, b) wiring order — i.e. the
-  // transmitting shard of aToB() and of bToA() respectively.
-  std::pair<std::size_t, std::size_t> linkShards(std::size_t i) const {
-    const Edge& e = edges_.at(i);
-    return {nodeShard_.at(e.a), nodeShard_.at(e.b)};
-  }
 
   // The switch a host hangs off, and that switch's port towards the host.
   struct Attachment {
@@ -135,9 +91,9 @@ class Testbed {
   }
 
  private:
-  ShardPlan plan_;
-  std::unique_ptr<sim::ShardedSimulator> ssim_;
-  std::unordered_map<const net::Node*, std::size_t> nodeShard_;
+  // Declared first so it is destroyed last: queued events still hold
+  // packets and pointers into the nodes below.
+  sim::Simulator sim_;
   std::vector<std::unique_ptr<asic::Switch>> switches_;
   std::vector<std::unique_ptr<Host>> hosts_;
   std::vector<std::unique_ptr<net::DuplexLink>> links_;
@@ -234,14 +190,5 @@ class PathOracle {
   };
   std::unordered_map<const net::Node*, std::vector<Peer>> peers_;
 };
-
-// Default min-cut-ish partition for buildFatTree(k): pods are assigned to
-// shards in contiguous blocks (hosts, edge and aggregation switches follow
-// their pod, so every intra-pod and host link stays shard-local) and core
-// switches are spread evenly, leaving only agg<->core links — the fabric's
-// natural bisection — as shard boundaries. Matches the creation order of
-// buildFatTree exactly; construct `Testbed tb(partitionFatTree(k, n))` and
-// then call buildFatTree(tb, k, ...).
-ShardPlan partitionFatTree(std::size_t k, std::size_t shards);
 
 }  // namespace tpp::host

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "src/sim/shard.hpp"
-
 namespace tpp::net {
 
 sim::Time Channel::transmit(PacketPtr packet) {
@@ -22,7 +20,7 @@ sim::Time Channel::transmit(PacketPtr packet) {
   if (rx_ == nullptr) {
     // Detached mid-teardown: the wire still serializes, the frame goes
     // nowhere. Counted, not dereferenced.
-    ++txDetachedDropped_;
+    ++detachedDropped_;
     if (tracer_ != nullptr) {
       tracer_->record(sim_.now(), sim::TraceKind::LinkDetachedDrop, actor_, 0,
                       static_cast<std::uint32_t>(packet->size()));
@@ -56,31 +54,22 @@ sim::Time Channel::transmit(PacketPtr packet) {
   }
   const std::size_t payloadBytes = packet->size();
   // Deliver after serialization + propagation. EventFn is move-aware, so
-  // the packet rides in the closure directly — no heap shim. The closure
-  // timestamps with its (captured) fire instant rather than sim_.now(): the
-  // two are equal on the same-shard path, and across shards the receiving
-  // simulator's clock is the right one anyway.
-  const sim::Time deliverAt = end + propDelay_;
-  auto deliver = [this, p = std::move(packet), payloadBytes,
-                  deliverAt]() mutable {
+  // the packet rides in the closure directly — no heap shim.
+  sim_.scheduleAt(end + propDelay_, [this, p = std::move(packet),
+                                     payloadBytes]() mutable {
     if (rx_ == nullptr) {
       // Receiver detached while the frame was in flight.
-      ++rxDetachedDropped_;
+      ++detachedDropped_;
       return;
     }
     ++delivered_;
     bytesDelivered_ += payloadBytes;
-    if (rxTracer_ != nullptr) {
-      rxTracer_->record(deliverAt, sim::TraceKind::LinkDeliver, rxActor_, 0,
-                        static_cast<std::uint32_t>(payloadBytes));
+    if (tracer_ != nullptr) {
+      tracer_->record(sim_.now(), sim::TraceKind::LinkDeliver, actor_, 0,
+                      static_cast<std::uint32_t>(payloadBytes));
     }
     rx_->receive(std::move(p), rxPort_);
-  };
-  if (crossShard_ != nullptr) {
-    crossShard_->push(deliverAt, std::move(deliver));
-  } else {
-    sim_.scheduleAt(deliverAt, std::move(deliver));
-  }
+  });
   return end;
 }
 
@@ -95,19 +84,11 @@ std::unique_ptr<DuplexLink> DuplexLink::connect(sim::Simulator& simulator,
                                                 Node& b, std::size_t portB,
                                                 std::uint64_t rateBps,
                                                 sim::Time propagationDelay) {
-  return connect(simulator, simulator, a, portA, b, portB, rateBps,
-                 propagationDelay);
-}
-
-std::unique_ptr<DuplexLink> DuplexLink::connect(sim::Simulator& simA,
-                                                sim::Simulator& simB, Node& a,
-                                                std::size_t portA, Node& b,
-                                                std::size_t portB,
-                                                std::uint64_t rateBps,
-                                                sim::Time propagationDelay) {
   auto link = std::unique_ptr<DuplexLink>(new DuplexLink);
-  link->aToB_ = std::make_unique<Channel>(simA, rateBps, propagationDelay);
-  link->bToA_ = std::make_unique<Channel>(simB, rateBps, propagationDelay);
+  link->aToB_ =
+      std::make_unique<Channel>(simulator, rateBps, propagationDelay);
+  link->bToA_ =
+      std::make_unique<Channel>(simulator, rateBps, propagationDelay);
   link->aToB_->attachReceiver(&b, portB);
   link->bToA_->attachReceiver(&a, portA);
   a.attachPort(portA, link->aToB_.get());

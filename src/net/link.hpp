@@ -15,10 +15,6 @@
 #include "src/sim/fault.hpp"
 #include "src/sim/simulator.hpp"
 
-namespace tpp::sim {
-class CrossShardChannel;
-}
-
 namespace tpp::net {
 
 class Channel {
@@ -44,27 +40,9 @@ class Channel {
 
   // Arms (or disarms, with nullptr) the flight recorder on this channel.
   // `actor` is the tracer-interned id for this direction's display name.
-  // Delivery-side records default to the same recorder; a sharded arming
-  // overrides that with setRxTracer afterwards.
   void setTracer(sim::Tracer* tracer, std::uint32_t actor) {
     tracer_ = tracer;
     actor_ = actor;
-    rxTracer_ = tracer;
-    rxActor_ = actor;
-  }
-  // Sharded arming: LinkDeliver records are written by the receiving
-  // shard's thread, so they must go to that shard's recorder.
-  void setRxTracer(sim::Tracer* tracer, std::uint32_t actor) {
-    rxTracer_ = tracer;
-    rxActor_ = actor;
-  }
-
-  // Marks this direction as a shard boundary: delivery events are handed to
-  // `channel` (and merged into the receiving shard's queue at window
-  // boundaries) instead of being scheduled on the transmitting shard's
-  // simulator. nullptr restores same-shard delivery.
-  void setCrossShard(sim::CrossShardChannel* channel) {
-    crossShard_ = channel;
   }
 
   // Queues `packet` for serialization; returns the time serialization ends
@@ -81,17 +59,11 @@ class Channel {
   std::uint64_t bytesDelivered() const { return bytesDelivered_; }
   // Packets lost to an injected fault plan on this channel.
   std::uint64_t packetsFaultDropped() const { return faultDropped_; }
-  // Packets discarded because no receiver was attached at delivery time.
-  std::uint64_t packetsDetachedDropped() const {
-    return txDetachedDropped_ + rxDetachedDropped_;
-  }
+  // Packets discarded because no receiver was attached, at transmit or at
+  // delivery time.
+  std::uint64_t packetsDetachedDropped() const { return detachedDropped_; }
 
  private:
-  // Field ownership under sharding: the transmit path (busyUntil_,
-  // faultDropped_, txDetachedDropped_) runs on the transmitting shard's
-  // thread; the delivery closure (delivered_, bytesDelivered_,
-  // rxDetachedDropped_) runs on the receiving shard's. Accessors are
-  // quiescent-time only.
   sim::Simulator& sim_;
   std::uint64_t rateBps_;
   sim::Time propDelay_;
@@ -100,15 +72,11 @@ class Channel {
   sim::LinkFaultState* fault_ = nullptr;
   sim::Tracer* tracer_ = nullptr;
   std::uint32_t actor_ = 0;
-  sim::Tracer* rxTracer_ = nullptr;
-  std::uint32_t rxActor_ = 0;
-  sim::CrossShardChannel* crossShard_ = nullptr;
   sim::Time busyUntil_ = sim::Time::zero();
   std::uint64_t delivered_ = 0;
   std::uint64_t bytesDelivered_ = 0;
   std::uint64_t faultDropped_ = 0;
-  std::uint64_t txDetachedDropped_ = 0;
-  std::uint64_t rxDetachedDropped_ = 0;
+  std::uint64_t detachedDropped_ = 0;
 };
 
 // Full-duplex link between (a, portA) and (b, portB).
@@ -117,16 +85,6 @@ class DuplexLink {
   static std::unique_ptr<DuplexLink> connect(sim::Simulator& simulator,
                                              Node& a, std::size_t portA,
                                              Node& b, std::size_t portB,
-                                             std::uint64_t rateBps,
-                                             sim::Time propagationDelay);
-
-  // Sharded form: each direction serializes on its transmitting side's
-  // simulator (`simA` drives a->b, `simB` drives b->a). With simA == simB
-  // this is exactly the single-simulator overload.
-  static std::unique_ptr<DuplexLink> connect(sim::Simulator& simA,
-                                             sim::Simulator& simB, Node& a,
-                                             std::size_t portA, Node& b,
-                                             std::size_t portB,
                                              std::uint64_t rateBps,
                                              sim::Time propagationDelay);
 

@@ -7,10 +7,10 @@ namespace {
 
 // Freelist of dead packets awaiting reuse. Function-local static so the
 // pool outlives every translation-unit-scoped PacketPtr; bounded so a
-// transient burst cannot pin memory forever. thread_local because sharded
-// runs allocate and recycle packets from several simulation threads at
-// once: each thread gets a private freelist (a packet released on thread B
-// simply joins B's pool — delete/new are the only cross-thread traffic).
+// transient burst cannot pin memory forever. thread_local because a
+// Simulator is confined to its thread but a program may run independent
+// testbeds on several threads at once: each thread then recycles into a
+// private freelist and never takes a lock.
 constexpr std::size_t kMaxPooled = 4096;
 
 struct Pool {
@@ -29,10 +29,9 @@ Pool& pool() {
 }  // namespace
 
 std::uint64_t& Packet::nextId() {
-  // Per-thread: ids only need to be unique-enough for debugging output
-  // (nothing branches on them), and a shared counter would be a data race
-  // under sharding. Worker threads are created fresh per run() in shard
-  // order, so ids stay reproducible too.
+  // Per-thread, like the pool: ids only need to be unique-enough for
+  // debugging output (nothing branches on them), and a shared counter
+  // would be a data race between testbeds on different threads.
   thread_local std::uint64_t id = 1;
   return id;
 }

@@ -3,10 +3,8 @@
 // Components hold a Simulator& and schedule callbacks; the main loop pops
 // events in deterministic order and advances the clock. A Simulator is not
 // thread-safe: it is confined to one thread at a time (determinism is a
-// feature we test for). A single-shard experiment owns exactly one; a
-// sharded experiment owns one per shard, coordinated by ShardedSimulator
-// (src/sim/shard.hpp), with each instance still driven by only its own
-// shard's thread.
+// feature we test for). Every experiment owns exactly one (host::Testbed
+// holds it).
 #pragma once
 
 #include <cstdint>
@@ -42,13 +40,6 @@ class Simulator {
   bool stopped() const { return stopped_; }
 
   std::uint64_t eventsExecuted() const { return executed_; }
-
-  // Earliest pending event's instant, or Time::max() when the queue is
-  // empty (purges cancelled heads as a side effect). Used by the sharded
-  // runner to compute conservative lookahead windows.
-  Time nextEventTime() {
-    return queue_.empty() ? Time::max() : queue_.nextTime();
-  }
 
   // Arms the flight recorder on the scheduler itself (EventSchedule /
   // EventFire records). nullptr disarms; the disarmed cost is one branch

@@ -57,34 +57,6 @@ struct Reader {
   }
 };
 
-// The one writer of the on-disk layout; Tracer::serialize() and
-// mergeTraces() both funnel through here so their bytes can never drift.
-std::vector<std::uint8_t> serializeImage(
-    const std::vector<TraceRecord>& records,
-    const std::vector<std::string>& actors, std::uint64_t overwritten) {
-  std::vector<std::uint8_t> out;
-  out.reserve(40 + actors.size() * 24 + records.size() * sizeof(TraceRecord));
-  // push_back rather than a ranged insert: gcc-12's -Wstringop-overflow
-  // false-positives on inserting from a raw char array.
-  for (const char c : kMagic) out.push_back(static_cast<std::uint8_t>(c));
-  putU32(out, kVersion);
-  putU32(out, static_cast<std::uint32_t>(sizeof(TraceRecord)));
-  putU64(out, records.size());
-  putU64(out, overwritten);
-  putU32(out, static_cast<std::uint32_t>(actors.size()));
-  for (const std::string& name : actors) {
-    const auto len = static_cast<std::uint16_t>(
-        std::min<std::size_t>(name.size(), UINT16_MAX));
-    putU16(out, len);
-    out.insert(out.end(), name.begin(), name.begin() + len);
-  }
-  for (const TraceRecord& r : records) {
-    const auto* p = reinterpret_cast<const std::uint8_t*>(&r);
-    out.insert(out.end(), p, p + sizeof(TraceRecord));
-  }
-  return out;
-}
-
 }  // namespace
 
 Tracer::Tracer(std::size_t capacity) {
@@ -113,7 +85,29 @@ std::vector<TraceRecord> Tracer::snapshot() const {
 }
 
 std::vector<std::uint8_t> Tracer::serialize() const {
-  return serializeImage(snapshot(), actors_, overwritten());
+  const std::vector<TraceRecord> records = snapshot();
+  std::vector<std::uint8_t> out;
+  out.reserve(40 + actors_.size() * 24 +
+              records.size() * sizeof(TraceRecord));
+  // push_back rather than a ranged insert: gcc-12's -Wstringop-overflow
+  // false-positives on inserting from a raw char array.
+  for (const char c : kMagic) out.push_back(static_cast<std::uint8_t>(c));
+  putU32(out, kVersion);
+  putU32(out, static_cast<std::uint32_t>(sizeof(TraceRecord)));
+  putU64(out, records.size());
+  putU64(out, overwritten());
+  putU32(out, static_cast<std::uint32_t>(actors_.size()));
+  for (const std::string& name : actors_) {
+    const auto len = static_cast<std::uint16_t>(
+        std::min<std::size_t>(name.size(), UINT16_MAX));
+    putU16(out, len);
+    out.insert(out.end(), name.begin(), name.begin() + len);
+  }
+  for (const TraceRecord& r : records) {
+    const auto* p = reinterpret_cast<const std::uint8_t*>(&r);
+    out.insert(out.end(), p, p + sizeof(TraceRecord));
+  }
+  return out;
 }
 
 bool Tracer::save(const std::string& path) const {
@@ -200,39 +194,6 @@ DecodedTrace decodeTrace(std::span<const std::uint8_t> bytes) {
   else if (trailing) out.error = "trailing bytes after record region";
   else if (out.badKinds > 0) out.error = "records with out-of-range kind";
   return out;
-}
-
-std::vector<std::uint8_t> mergeTraces(
-    std::span<const Tracer* const> tracers) {
-  if (tracers.empty()) return serializeImage({}, {}, 0);
-  // One recorder is the legacy case: its exact bytes, so a 1-shard run
-  // stays comparable against checked-in golden traces.
-  if (tracers.size() == 1) return tracers[0]->serialize();
-
-  std::vector<std::string> actors;
-  std::vector<TraceRecord> merged;
-  std::uint64_t overwritten = 0;
-  std::uint32_t actorBase = 0;
-  for (std::size_t k = 0; k < tracers.size(); ++k) {
-    const Tracer& t = *tracers[k];
-    for (const std::string& name : t.actors()) {
-      actors.push_back("s" + std::to_string(k) + "/" + name);
-    }
-    for (TraceRecord r : t.snapshot()) {
-      if (r.actor != 0) r.actor += actorBase;
-      merged.push_back(r);
-    }
-    actorBase += static_cast<std::uint32_t>(t.actors().size());
-    overwritten += t.overwritten();
-  }
-  // Stable sort on timestamp alone: records were appended in (shard index,
-  // ring order), so ties keep exactly that order — the documented
-  // (tsNanos, shard, ring order) key without materializing it.
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const TraceRecord& a, const TraceRecord& b) {
-                     return a.tsNanos < b.tsNanos;
-                   });
-  return serializeImage(merged, actors, overwritten);
 }
 
 }  // namespace tpp::sim

@@ -159,16 +159,4 @@ struct DecodedTrace {
 };
 DecodedTrace decodeTrace(std::span<const std::uint8_t> bytes);
 
-// Merges per-shard flight recorders into one serialized trace image.
-//
-// One tracer degenerates to `tracers[0]->serialize()` — byte-identical to
-// the legacy single-threaded path, which is what lets the golden suite
-// compare a 1-shard sharded run against checked-in traces. With several
-// tracers the surviving records are stably k-way merged by (tsNanos, shard
-// index, ring order), actor ids are remapped into a concatenated table with
-// each name prefixed "s<k>/", and overwritten counts are summed. Purely a
-// function of the tracers' contents: deterministic inputs in, deterministic
-// bytes out.
-std::vector<std::uint8_t> mergeTraces(std::span<const Tracer* const> tracers);
-
 }  // namespace tpp::sim

@@ -14,9 +14,9 @@
 // (the standard pFabric encoding, packets x 1460 B) and drawn by inverse
 // transform from a single uniform variate, so one draw consumes exactly
 // one Rng value regardless of the distribution — a fixed seed yields a
-// byte-identical draw sequence no matter which mix a scenario selects, and
-// shard placement never touches the stream (scenarios precompute every
-// draw before the simulation runs, see scenario.hpp).
+// byte-identical draw sequence no matter which mix a scenario selects
+// (scenarios precompute every draw before the simulation runs, see
+// scenario.hpp).
 #pragma once
 
 #include <cstdint>

@@ -141,18 +141,15 @@ void TcpIncast::start(sim::Time at) {
                                                       config_.conn);
     host::TcpConnection* raw = conn.get();
     TcpFlowRecord* rec = &records_[i];
-    host::Host* sender = senders_[i];
     raw->onClosed([rec, raw] {
       rec->completion = raw->closedAt().value_or(sim::Time::zero());
     });
     raw->onError([rec](const std::string&) { rec->failed = true; });
     const std::uint16_t port =
         static_cast<std::uint16_t>(config_.basePort + i);
-    // Scheduled on the sender's own simulator: shard-local by design.
-    sender->simulator().scheduleAt(at, [this, raw, sender, port] {
+    senders_[i]->simulator().scheduleAt(at, [this, raw, port] {
       raw->connect(config_.dstMac, config_.dstIp, config_.serverPort, port,
                    config_.burstBytes);
-      (void)sender;
     });
     conns_.push_back(std::move(conn));
   }

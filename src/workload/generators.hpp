@@ -9,12 +9,9 @@
 //   TcpIncast            the incast shape over real TCP connections
 //   TcpPoissonFlowGenerator  Poisson/bounded-Pareto arrivals over TCP
 //
-// Shard discipline of the TCP generators: the whole arrival schedule
-// (times, sizes, senders) is precomputed from the Rng at start(), before
-// the simulation runs, and each connection's connect() is scheduled on its
-// own host's simulator. Nothing about shard placement feeds the schedule,
-// so a fixed seed yields an identical flow log on 1, 2 or 4 shards — and
-// generators may span shards, unlike the event-driven UDP ones above.
+// The TCP generators precompute the whole arrival schedule (times, sizes,
+// senders) from the Rng at start(), before the simulation runs, so a fixed
+// seed yields the same schedule whatever the network does.
 #pragma once
 
 #include <cstdint>
@@ -207,8 +204,8 @@ class TcpPoissonFlowGenerator {
 
   std::size_t flowCount() const { return conns_.size(); }
   host::TcpConnection& connection(std::size_t i) { return *conns_.at(i); }
-  // The flow log: (arrival, bytes, sender) are the drawn schedule — the
-  // shard-count-invariant part — plus completion as it happens.
+  // The flow log: (arrival, bytes, sender) are the drawn schedule, plus
+  // completion as it happens.
   const std::vector<TcpFlowRecord>& records() const { return records_; }
   std::uint64_t bytesOffered() const { return bytesOffered_; }
   bool allDone() const;

@@ -109,7 +109,6 @@ struct ParseCtx {
   int line = 0;  // current line, for error attribution
   std::string error;
 
-  int lineShards = 0;
   int linePattern = 0;
   int lineParticipants = 0;
   int lineMaxFlows = 0;
@@ -195,8 +194,11 @@ bool handleScenarioKey(ParseCtx& ctx, std::string_view key,
     return parseU64(ctx, key, v, c.seed, 0, UINT64_MAX);
   }
   if (key == "shards") {
-    ctx.lineShards = ctx.line;
-    return parseSize(ctx, key, v, c.shards, 1, 64);
+    if (!parseSize(ctx, key, v, c.shards, 0, UINT64_MAX)) return false;
+    if (c.shards != 1) {
+      return ctx.fail("shards must be 1 (every run uses one simulator)");
+    }
+    return true;
   }
   if (key == "horizon_ms") {
     return parseF64(ctx, key, v, c.horizonMs, 0.001, 10000.0);
@@ -347,11 +349,6 @@ bool handleMetricsKey(ParseCtx& ctx, std::string_view key,
 bool validate(ParseCtx& ctx) {
   const ScenarioConfig& c = ctx.c;
   const auto at = [](int line) { return line > 0 ? line : 1; };
-  if (c.shards > 1 && c.topology != TopologyType::FatTree) {
-    return ctx.fail("shards > 1 requires a fat-tree topology (only the "
-                    "fat tree has a shard partition)",
-                    at(ctx.lineShards));
-  }
   const std::size_t hosts = c.hostCount();
   if (c.participants > hosts) {
     return ctx.fail("participants: " + std::to_string(c.participants) +
@@ -508,7 +505,6 @@ std::string serializeScenario(const ScenarioConfig& c) {
   s += "[scenario]\n";
   kv("name", c.name);
   kvU("seed", c.seed);
-  kvU("shards", c.shards);
   kvF("horizon_ms", c.horizonMs);
   s += "\n[topology]\n";
   kv("type", std::string(topologyTypeName(c.topology)));
@@ -626,9 +622,8 @@ std::vector<FlowPlan> compileSchedule(const ScenarioConfig& c) {
 
 namespace {
 
-// Periodic per-switch queue-occupancy sampler, scheduled on the switch's
-// own shard simulator so sharded runs need no cross-shard reads. Samples
-// are (sample index, total queued bytes across ports), nonzero only.
+// Periodic per-switch queue-occupancy sampler. Samples are (sample index,
+// total queued bytes across ports), nonzero only.
 struct SwitchSampler {
   asic::Switch* sw = nullptr;
   sim::Simulator* sim = nullptr;
@@ -688,9 +683,8 @@ void appendFct(std::string& s, const char* label,
 }  // namespace
 
 std::string ScenarioResult::summaryText(const ScenarioConfig& c) const {
-  // Everything here is a physical observable or drawn schedule — invariant
-  // across shard counts at a fixed seed. Run metadata (events executed,
-  // shard count) deliberately stays out.
+  // Everything here is a physical observable or drawn schedule. Run
+  // metadata (events executed) deliberately stays out.
   std::string s;
   s.reserve(1024);
   char buf[256];
@@ -765,13 +759,7 @@ ScenarioRun runScenario(const ScenarioConfig& c, const RunOptions& options) {
   ScenarioRun run;
   ScenarioResult& res = run.result;
 
-  std::size_t shards =
-      options.shardsOverride != 0 ? options.shardsOverride : c.shards;
-  if (c.topology != TopologyType::FatTree) shards = 1;
-
-  host::ShardPlan plan;
-  if (shards > 1) plan = host::partitionFatTree(c.k, shards);
-  host::Testbed tb(shards > 1 ? plan : host::ShardPlan{});
+  host::Testbed tb;
 
   asic::SwitchConfig swCfg;
   swCfg.bufferPerQueueBytes = c.bufferKb * 1024;
@@ -803,11 +791,10 @@ ScenarioRun runScenario(const ScenarioConfig& c, const RunOptions& options) {
   res.switches = tb.switchCount();
   res.hosts = tb.hostCount();
   res.links = tb.linkCount();
-  res.shards = shards;
 
   // ---------------------------------------------------------- fault layer
   // Substreams are named by link index + direction, so decisions depend
-  // only on (seed, link) and the physical transmit order — shard-invariant.
+  // only on (seed, link) and the physical transmit order.
   sim::FaultInjector faults(tb.sim(), c.seed);
   if (c.dropRate > 0 || c.corruptRate > 0) {
     const sim::LinkFaultPlan fp{c.dropRate, c.corruptRate};
@@ -852,10 +839,9 @@ ScenarioRun runScenario(const ScenarioConfig& c, const RunOptions& options) {
   }
 
   // ------------------------------------------------------ flight recorder
-  std::unique_ptr<host::ShardedTrace> trace;
+  std::unique_ptr<sim::Tracer> trace;
   if (options.captureTrace) {
-    trace = std::make_unique<host::ShardedTrace>(tb.sharded().shardCount(),
-                                                 options.traceRing);
+    trace = std::make_unique<sim::Tracer>(options.traceRing);
     host::armTracing(tb, *trace);
   }
 
@@ -915,8 +901,7 @@ ScenarioRun runScenario(const ScenarioConfig& c, const RunOptions& options) {
     const net::Ipv4Address dstIp = receiver.ip();
     const std::uint64_t bytes = p.bytes;
     const sim::Time arrival = p.arrival;
-    // Scheduled on the sender's own simulator: shard-local by design. The
-    // controller starts in the same event, after connect, so its first
+    // The controller starts in the same event, after connect, so its first
     // probe sees an open connection.
     sender.simulator().scheduleAt(
         arrival, [raw, ctrl, dstMac, dstIp, port, bytes, arrival] {
@@ -933,7 +918,7 @@ ScenarioRun runScenario(const ScenarioConfig& c, const RunOptions& options) {
   for (std::size_t s = 0; s < tb.switchCount(); ++s) {
     auto sampler = std::make_unique<SwitchSampler>();
     sampler->sw = &tb.sw(s);
-    sampler->sim = &tb.simOf(tb.sw(s));
+    sampler->sim = &tb.sim();
     sampler->period = samplePeriod;
     sampler->until = sampleUntil;
     sampler->ports = switchPorts;
@@ -1024,7 +1009,7 @@ ScenarioRun runScenario(const ScenarioConfig& c, const RunOptions& options) {
   // Every (switch, flow) pair: read the sketch estimate out of scratch SRAM
   // and compare against that switch's exact count. Flow hashes are visited
   // in sorted order so the audit (and the summary derived from it) is
-  // deterministic across runs and shard counts.
+  // deterministic across runs.
   if (c.monitorSketch) {
     const std::uint32_t stride = std::max<std::uint32_t>(1, c.sketchStride);
     for (std::size_t s = 0; s < tb.switchCount(); ++s) {
@@ -1070,7 +1055,7 @@ ScenarioRun runScenario(const ScenarioConfig& c, const RunOptions& options) {
         (stride > 1 || res.monitorUnderestimates == 0);
   }
 
-  if (trace) run.trace = trace->merged();
+  if (trace) run.trace = trace->serialize();
   return run;
 }
 

@@ -5,19 +5,19 @@
 // (fat-tree k=4..32, chain, star, dumbbell), a TCP workload (Poisson flow
 // mix over the web-search/data-mining size distributions of flow_size.hpp,
 // sustained incast storms, or an all-to-all shuffle), optional stochastic
-// link faults, the TPP task set (per-connection TppTcpController), a shard
-// plan, and metric knobs. The runner compiles the workload into a flow
-// schedule drawn entirely from the scenario's own seeded Rng *before* the
-// simulation starts — shard placement never perturbs a single draw — then
-// builds the testbed, runs to completion, and reports flow-completion-time
-// percentiles and queue-occupancy statistics.
+// link faults, the TPP task set (per-connection TppTcpController), and
+// metric knobs. The runner compiles the workload into a flow schedule
+// drawn entirely from the scenario's own seeded Rng *before* the
+// simulation starts, then builds the testbed, runs to completion, and
+// reports flow-completion-time percentiles and queue-occupancy statistics.
 //
-// Determinism contract: at a fixed seed, summaryText() is byte-identical
-// run to run AND across shard counts (the physical simulation is
-// shard-invariant; only run metadata like events-executed varies), and the
-// merged flight-recorder trace is byte-identical run to run at each shard
-// count. The determinism wall (`ctest -L determinism`) and the scale suite
-// (`ctest -L scale`, via `tppscenario --verify-shards`) enforce both.
+// Determinism contract: at a fixed seed, summaryText() and the
+// flight-recorder trace are byte-identical run to run
+// (ScenarioRunnerDeterminism.RunToRunMergedTraceByteIdentical), and
+// arming the recorder does not change the summary
+// (ScenarioRunnerDeterminism.TraceCaptureDoesNotChangeSummary). The
+// scale tier (`ctest -L scale`) pins each shipped scenario's tppscenario
+// output byte for byte.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +40,10 @@ struct ScenarioConfig {
   // [scenario]
   std::string name = "unnamed";
   std::uint64_t seed = 1;
-  std::size_t shards = 1;          // >1 requires a fat-tree topology
+  // Parsed so that `.scn` files that say `shards = 1` (e2ebench's
+  // workloads among them) still load; 1 is the only legal value, since
+  // every run uses one simulator.
+  std::size_t shards = 1;
   double horizonMs = 5.0;          // workload/metric window; the run itself
                                    // continues until every flow completes
 
@@ -141,7 +144,6 @@ struct ScenarioResult {
   std::size_t switches = 0;
   std::size_t hosts = 0;
   std::size_t links = 0;
-  std::size_t shards = 1;
 
   // Flow outcomes.
   std::size_t flows = 0;
@@ -190,7 +192,7 @@ struct ScenarioResult {
   std::uint64_t hhReported = 0;  // flows whose estimate crossed it
   std::uint64_t hookExecutions = 0;  // sum over switches
 
-  // Run metadata — shard-count-DEPENDENT, excluded from summaryText().
+  // Run metadata, excluded from summaryText().
   std::uint64_t eventsExecuted = 0;
 
   // Content digests over the flow log and the queue samples (FNV-1a 64).
@@ -198,14 +200,12 @@ struct ScenarioResult {
   std::uint64_t queueDigest = 0;
 
   // The canonical human/machine-readable report: deterministic at a fixed
-  // seed across runs AND shard counts. The scale suite compares these
-  // byte for byte.
+  // seed. The scale suite compares these byte for byte.
   std::string summaryText(const ScenarioConfig& config) const;
 };
 
 struct RunOptions {
-  std::size_t shardsOverride = 0;  // 0 = config.shards
-  bool captureTrace = false;       // fill ScenarioRun::trace (merged)
+  bool captureTrace = false;  // fill ScenarioRun::trace
   std::size_t traceRing = 1u << 14;
 };
 

@@ -22,44 +22,14 @@ namespace {
 // deterministic, but whole-run traces make diffs readable).
 constexpr std::size_t kGoldenRing = 2048;
 
-// Arms the recorder and drives the run through whichever path the runner
-// mode names. ShardedWrapper on these (unsharded) testbeds means a 1-shard
-// ShardedSimulator + merged per-shard recorders — byte-identity with
-// Legacy is exactly what the wrapper golden tests pin.
-struct TraceArm {
-  host::Testbed& tb;
-  GoldenRunner mode;
-  sim::Tracer legacy{kGoldenRing};
-  host::ShardedTrace sharded;
-
-  TraceArm(host::Testbed& t, GoldenRunner m)
-      : tb(t), mode(m), sharded(t.sharded().shardCount(), kGoldenRing) {
-    if (mode == GoldenRunner::Legacy) {
-      host::armTracing(tb, legacy);
-    } else {
-      host::armTracing(tb, sharded);
-    }
-  }
-  void run(sim::Time until = sim::Time::max()) {
-    if (mode == GoldenRunner::Legacy) {
-      tb.sim().run(until);
-    } else {
-      tb.run(until);
-    }
-  }
-  std::vector<std::uint8_t> bytes() const {
-    return mode == GoldenRunner::Legacy ? legacy.serialize()
-                                        : sharded.merged();
-  }
-};
-
 // §2.1: incast bursts into a shallow star egress, monitored by TPP probes.
-std::vector<std::uint8_t> runMicroburst(GoldenRunner mode) {
+std::vector<std::uint8_t> runMicroburst() {
   host::Testbed tb;
   asic::SwitchConfig cfg;
   cfg.bufferPerQueueBytes = 256 * 1024;
   buildStar(tb, 2, host::LinkParams{1'000'000'000, sim::Time::us(2)}, cfg);
-  TraceArm arm(tb, mode);
+  sim::Tracer tracer(kGoldenRing);
+  host::armTracing(tb, tracer);
 
   host::Host& receiver = tb.host(2);
   workload::IncastBurst::Config icfg;
@@ -77,18 +47,19 @@ std::vector<std::uint8_t> runMicroburst(GoldenRunner mode) {
   apps::MicroburstMonitor monitor(tb.host(0), mcfg);
   monitor.start(sim::Time::zero());
 
-  arm.run(sim::Time::ms(3));
+  tb.run(sim::Time::ms(3));
   monitor.stop();
   incast.stop();
-  arm.run();
-  return arm.bytes();
+  tb.run();
+  return tracer.serialize();
 }
 
 // §2.2: one RCP* controller adapting a paced flow over a single switch.
-std::vector<std::uint8_t> runRcpStar(GoldenRunner mode) {
+std::vector<std::uint8_t> runRcpStar() {
   host::Testbed tb;
   buildChain(tb, 1, host::LinkParams{10'000'000, sim::Time::us(50)});
-  TraceArm arm(tb, mode);
+  sim::Tracer tracer(kGoldenRing);
+  host::armTracing(tb, tracer);
 
   host::FlowSpec spec;
   spec.dstMac = tb.host(1).mac();
@@ -111,19 +82,20 @@ std::vector<std::uint8_t> runRcpStar(GoldenRunner mode) {
 
   flow.start(sim::Time::zero());
   controller.start(sim::Time::zero());
-  arm.run(sim::Time::ms(25));
+  tb.run(sim::Time::ms(25));
   controller.stop();
   flow.stop();
-  arm.run();
-  return arm.bytes();
+  tb.run();
+  return tracer.serialize();
 }
 
 // §2.3: path tracing over a 3-switch chain, with a mid-run link-down
 // window so the golden also pins the fault-verdict record stream.
-std::vector<std::uint8_t> runNdb(GoldenRunner mode) {
+std::vector<std::uint8_t> runNdb() {
   host::Testbed tb;
   buildChain(tb, 3, host::LinkParams{1'000'000'000, sim::Time::us(1)});
-  TraceArm arm(tb, mode);
+  sim::Tracer tracer(kGoldenRing);
+  host::armTracing(tb, tracer);
 
   sim::FaultInjector inj(tb.sim(), /*seed=*/7);
   auto& mid = inj.link("sw1->sw2");
@@ -138,8 +110,8 @@ std::vector<std::uint8_t> runNdb(GoldenRunner mode) {
   tb.sim().scheduleAt(sim::Time::us(200), sendProbe);   // clean pass
   tb.sim().scheduleAt(sim::Time::us(1500), sendProbe);  // dies at sw1->sw2
   tb.sim().scheduleAt(sim::Time::us(3000), sendProbe);  // clean again
-  arm.run();
-  return arm.bytes();
+  tb.run();
+  return tracer.serialize();
 }
 
 }  // namespace
@@ -150,11 +122,10 @@ const std::vector<std::string>& goldenScenarioNames() {
   return kNames;
 }
 
-std::vector<std::uint8_t> runGoldenScenario(const std::string& name,
-                                            GoldenRunner runner) {
-  if (name == "microburst") return runMicroburst(runner);
-  if (name == "rcpstar") return runRcpStar(runner);
-  if (name == "ndb") return runNdb(runner);
+std::vector<std::uint8_t> runGoldenScenario(const std::string& name) {
+  if (name == "microburst") return runMicroburst();
+  if (name == "rcpstar") return runRcpStar();
+  if (name == "ndb") return runNdb();
   std::fprintf(stderr, "unknown golden scenario \"%s\"\n", name.c_str());
   std::abort();
 }

@@ -19,16 +19,9 @@ namespace tpp::test {
 // Scenario names, in regeneration order: "microburst", "rcpstar", "ndb".
 const std::vector<std::string>& goldenScenarioNames();
 
-// Which run path drives the scenario. Legacy is the plain Simulator loop
-// the goldens were recorded against; ShardedWrapper pushes the very same
-// scenario through ShardedSimulator::run() with a single shard plus the
-// per-shard recorder merge — which must produce the very same bytes.
-enum class GoldenRunner { Legacy, ShardedWrapper };
-
 // Runs one scenario and returns the serialized trace (tpptrace format).
 // Aborts on an unknown name.
-std::vector<std::uint8_t> runGoldenScenario(
-    const std::string& name, GoldenRunner runner = GoldenRunner::Legacy);
+std::vector<std::uint8_t> runGoldenScenario(const std::string& name);
 
 // "<name>.tpptrace" — the filename a scenario's golden is stored under.
 std::string goldenFileName(const std::string& name);

@@ -195,127 +195,6 @@ TEST(ChaosRepro, SameSeedSameRunDifferentSeedDifferentRun) {
   EXPECT_FALSE(a == c);
 }
 
-// ------------------------------------------------------- sharded chaos
-
-// runRcpChaos on a partitioned testbed: left switch + sender on shard 0,
-// right switch + receiver on shard 1 (shards == 1 collapses to the legacy
-// placement), with one FaultInjector per shard sharing the master seed.
-// Link fault substreams fork from (seed, link name) only, so which shard's
-// injector owns a state must never change its verdict stream.
-RcpChaosOutcome runShardedRcpChaos(std::uint64_t seed,
-                                   const RcpChaosPlan& plan,
-                                   std::size_t shards) {
-  host::ShardPlan sp;
-  sp.shards = shards;
-  if (shards == 2) {
-    sp.switchShard = {0, 1};
-    sp.hostShard = {0, 1};
-  }
-  Testbed tb(sp);
-  asic::SwitchConfig scfg;
-  scfg.bufferPerQueueBytes = 64 * 1024;
-  scfg.utilizationWindow = sim::Time::ms(50);
-  buildDumbbell(tb, 1, host::LinkParams{1'000'000'000, sim::Time::us(10)},
-                host::LinkParams{kBottleneck, sim::Time::ms(1)}, scfg);
-  for (std::size_t s = 0; s < tb.switchCount(); ++s) {
-    for (std::size_t port = 0; port < tb.sw(s).config().ports; ++port) {
-      tb.sw(s).scratchWrite(
-          core::addr::RcpRateRegister,
-          static_cast<std::uint32_t>(tb.sw(s).portCapacityBps(port) / 1000),
-          port);
-    }
-  }
-
-  // Each switch's oracle records on its own shard; the set is read only
-  // after the run joins.
-  host::SramOracleSet oracles(tb.switchCount());
-  host::armSramOracle(tb, oracles);
-
-  host::FlowSpec spec;
-  spec.dstMac = tb.host(1).mac();
-  spec.dstIp = tb.host(1).ip();
-  spec.srcPort = 21000;
-  spec.dstPort = 21000;
-  spec.payloadBytes = 1000;
-  spec.rateBps = 100e3;
-  host::PacedFlow flow(tb.host(0), spec, 1);
-
-  apps::RcpStarController::Config ccfg;
-  ccfg.params.alpha = 0.5;
-  ccfg.params.beta = 1.0;
-  ccfg.params.rttSeconds = 0.05;
-  ccfg.period = sim::Time::ms(50);
-  ccfg.dstMac = spec.dstMac;
-  ccfg.dstIp = spec.dstIp;
-  ccfg.probeTimeout = sim::Time::ms(5);
-  ccfg.probeMaxBackoff = sim::Time::ms(20);
-  apps::RcpStarController ctl(tb.host(0), flow, ccfg);
-
-  // The bottleneck's forward channel transmits on the left switch's shard,
-  // the reverse on the right's — each gets an injector on its own shard.
-  sim::FaultInjector injL(tb.simOf(tb.sw(0)), seed);
-  sim::FaultInjector injR(tb.simOf(tb.sw(1)), seed);
-  auto& fwd = injL.link("bottleneck:l->r",
-                        {plan.dropProbability, plan.corruptProbability});
-  auto& rev = injR.link("bottleneck:r->l",
-                        {plan.dropProbability, plan.corruptProbability});
-  tb.linkAt(2).aToB().setFaultState(&fwd);
-  tb.linkAt(2).bToA().setFaultState(&rev);
-  if (plan.downWindow) {
-    injL.linkDownWindow(fwd, sim::Time::ms(1000), sim::Time::ms(1500));
-    injR.linkDownWindow(rev, sim::Time::ms(1000), sim::Time::ms(1500));
-  }
-  if (plan.reboot) {
-    injL.at(sim::Time::sec(3), [&] { tb.sw(0).reboot(); });  // shard 0's
-  }
-
-  flow.start(sim::Time::zero());
-  ctl.start(sim::Time::zero());
-  tb.run(sim::Time::sec(6));
-
-  RcpChaosOutcome out;
-  out.finalRateBps = ctl.currentRateBps();
-  out.drops = injL.totalDrops() + injR.totalDrops();
-  out.corrupted = injL.totalCorrupted() + injR.totalCorrupted();
-  out.probesSent = ctl.prober().probesSent();
-  out.retransmits = ctl.prober().retransmits();
-  out.probeLosses = ctl.probeLosses();
-  out.mdFallbacks = ctl.mdFallbacks();
-  out.truncated = ctl.truncatedCollects();
-  out.updates = ctl.updatesSent();
-  flow.stop();
-  ctl.stop();
-  expectNoOracleDivergence(oracles);
-  return out;
-}
-
-TEST(ChaosSharded, DropRebootReproducibleOnTwoShardPartition) {
-  const auto seed = baseSeed();
-  RcpChaosPlan plan;
-  plan.dropProbability = 0.01;  // the acceptance scenario: 1% loss + reboot
-  plan.reboot = true;
-  const auto a = runShardedRcpChaos(seed, plan, /*shards=*/2);
-  const auto b = runShardedRcpChaos(seed, plan, /*shards=*/2);
-  EXPECT_EQ(a, b) << "2-shard chaos run not reproducible from its seed";
-  EXPECT_GT(a.drops, 0u);
-  EXPECT_GT(a.retransmits, 0u);
-  EXPECT_GT(a.updates, 50u);
-}
-
-TEST(ChaosSharded, FaultVerdictsIndependentOfShardPlacement) {
-  // Collapsing the partition moves both fault states onto one injector on
-  // one shard; because substreams hang off (seed, link name) alone — and
-  // the sharded runner preserves exact event semantics — every verdict,
-  // counter and the final control rate must come out identical.
-  const auto seed = baseSeed() + 5;
-  RcpChaosPlan plan;
-  plan.dropProbability = 0.01;
-  plan.reboot = true;
-  const auto two = runShardedRcpChaos(seed, plan, /*shards=*/2);
-  const auto one = runShardedRcpChaos(seed, plan, /*shards=*/1);
-  EXPECT_EQ(two, one);
-}
-
 // ------------------------------------------------ CSTORE lock vs. reboot
 
 // Satellite: an RCP* controller holding the bottleneck's CSTORE lock across

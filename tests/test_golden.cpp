@@ -65,26 +65,6 @@ TEST_P(GoldenTrace, RerunIsBitStable) {
   EXPECT_EQ(runGoldenScenario(name), runGoldenScenario(name));
 }
 
-// The sharded wrapper with a single shard must be invisible: same scenario
-// driven through ShardedSimulator::run() + the per-shard recorder merge,
-// compared against the same checked-in golden bytes as the legacy path.
-TEST_P(GoldenTrace, ShardedWrapperMatchesCheckedInBytes) {
-  if (!sim::kTraceCompiledIn) GTEST_SKIP() << "built with TPP_TRACE=OFF";
-  const std::string name = GetParam();
-  const auto produced =
-      runGoldenScenario(name, GoldenRunner::ShardedWrapper);
-
-  bool ok = false;
-  const std::string path =
-      std::string(TPP_GOLDEN_DIR) + "/" + goldenFileName(name);
-  const auto golden = readFile(path, ok);
-  ASSERT_TRUE(ok) << "missing golden file " << path
-                  << " — run: cmake --build build -t regen-golden";
-  EXPECT_EQ(produced, golden)
-      << "1-shard ShardedSimulator run diverged from the legacy golden for \""
-      << name << "\" — the wrapper must be bit-invisible";
-}
-
 INSTANTIATE_TEST_SUITE_P(Scenarios, GoldenTrace,
                          ::testing::ValuesIn(goldenScenarioNames()),
                          [](const auto& info) { return info.param; });

@@ -129,7 +129,6 @@ ScenarioConfig nonDefaultConfig() {
   ScenarioConfig c;
   c.name = "rt-test_1.x";
   c.seed = 987654321;
-  c.shards = 4;
   c.horizonMs = 2.5;
   c.topology = TopologyType::FatTree;
   c.k = 16;
@@ -248,10 +247,8 @@ INSTANTIATE_TEST_SUITE_P(
                    "line 2: name: only"},
         RejectCase{"unterminated_section", "[scenario\n",
                    "line 1: unterminated section header"},
-        RejectCase{"shards_without_fattree",
-                   "[scenario]\nshards = 2\n[topology]\ntype = star\n"
-                   "nodes = 4\n",
-                   "line 2: shards > 1 requires a fat-tree"},
+        RejectCase{"shards_must_be_one", "[scenario]\nshards = 2\n",
+                   "line 2: shards must be 1"},
         RejectCase{"participants_exceed_hosts",
                    "[topology]\ntype = fattree\nk = 4\n[workload]\n"
                    "participants = 999\n",
@@ -363,8 +360,8 @@ TEST(CompileSchedule, ShuffleCoversAllOrderedPairs) {
   EXPECT_EQ(pairs.size(), plans.size()) << "duplicate (src,dst) pair";
 }
 
-// Participant selection spreads across the topology and never depends on
-// shard count (it is pure index arithmetic).
+// Participant selection spreads across the topology (it is pure index
+// arithmetic).
 TEST(CompileSchedule, ParticipantsSpreadAcrossPods) {
   ScenarioConfig c;
   c.topology = TopologyType::FatTree;
