@@ -42,7 +42,7 @@ int main() {
     std::printf("\nprobe returned after %u hops (fault: %s)\n",
                 tpp.header.hopNumber,
                 std::string(core::faultName(tpp.header.faultCode)).c_str());
-    const auto records = host::splitStackRecords(tpp, 2);
+    const auto records = host::splitStackRecords(tpp, 2).records;
     std::printf("%-6s %-10s %-12s\n", "hop", "switch-id", "queue-bytes");
     for (std::size_t h = 0; h < records.size(); ++h) {
       std::printf("%-6zu %-10u %-12u\n", h, records[h][0], records[h][1]);

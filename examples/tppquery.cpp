@@ -74,7 +74,8 @@ int main(int argc, char** argv) {
         tpp.header.mode == core::AddressingMode::Hop
             ? host::splitHopRecords(tpp)
             : host::splitStackRecords(tpp, perHop,
-                                      program.initialSp / core::kWordSize);
+                                      program.initialSp / core::kWordSize)
+                  .records;
     averager.add(records);
     ++answered;
   });

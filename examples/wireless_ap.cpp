@@ -50,7 +50,7 @@ int main() {
 
   sim::TimeSeries samples;
   tb.host(1).onTppResult([&](const core::ExecutedTpp& tpp) {
-    const auto records = host::splitStackRecords(tpp, 2);
+    const auto records = host::splitStackRecords(tpp, 2).records;
     // Hop 1 is the AP (the probe traverses sw1 then sw0).
     if (records.size() == 2) {
       samples.add(tb.sim().now(), records[1][1] / 100.0);

@@ -43,7 +43,7 @@ void MicroburstMonitor::probe() {
 void MicroburstMonitor::onResult(const core::ExecutedTpp& tpp) {
   if (tpp.header.taskId != config_.taskId) return;
   ++received_;
-  const auto split = host::splitStackRecordsChecked(tpp, 2);
+  const auto split = host::splitStackRecords(tpp, 2);
   if (!split.complete(config_.expectedHops)) ++partial_;
   const auto& records = split.records;
   if (records.size() > hopSeries_.size()) {

@@ -21,7 +21,7 @@ PacketTrace parseTrace(const core::ExecutedTpp& tpp,
                        std::size_t expectedHops) {
   PacketTrace out;
   out.faulted = (tpp.header.flags & core::kFlagFaulted) != 0;
-  const auto split = host::splitStackRecordsChecked(tpp, 3);
+  const auto split = host::splitStackRecords(tpp, 3);
   for (const auto& rec : split.records) {
     out.hops.push_back(HopTrace{rec[0], rec[1], rec[2]});
   }

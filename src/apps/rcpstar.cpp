@@ -129,7 +129,7 @@ void RcpStarController::onCollect(const core::ExecutedTpp& tpp) {
   // hop records start one word later.
   const std::size_t spWords =
       host::ReliableProber::seqWordIndex(collectProgram_) + 1;
-  auto split = host::splitStackRecordsChecked(tpp, kValuesPerHop, spWords);
+  auto split = host::splitStackRecords(tpp, kValuesPerHop, spWords);
   if (split.truncated) ++truncatedCollects_;
   if (split.records.empty()) return;
   for (const auto& rec : split.records) {
@@ -213,8 +213,7 @@ std::optional<std::uint32_t> RcpStarController::epochFromLockEcho(
     const core::ExecutedTpp& tpp, std::size_t initialSpWords,
     std::uint32_t switchId) {
   const auto split =
-      host::splitStackRecordsChecked(tpp, kRcpLockValuesPerHop,
-                                     initialSpWords);
+      host::splitStackRecords(tpp, kRcpLockValuesPerHop, initialSpWords);
   for (const auto& rec : split.records) {
     if (rec[0] == switchId) return rec[1];
   }

@@ -70,7 +70,7 @@ void TppTcpController::tick() {
 void TppTcpController::onEcho(const core::ExecutedTpp& tpp) {
   const std::size_t initialSpWords =
       host::ReliableProber::seqWordIndex(program_) + 1;
-  const auto split = host::splitStackRecordsChecked(
+  const auto split = host::splitStackRecords(
       tpp, kTcpProbeValuesPerHop, initialSpWords);
   if (split.truncated || split.records.empty()) {
     // A TCPU-off hop (or mangled echo): no per-hop picture this round.

@@ -2,28 +2,9 @@
 
 namespace tpp::host {
 
-std::vector<HopRecord> splitStackRecords(const core::ExecutedTpp& tpp,
-                                         std::size_t valuesPerHop,
-                                         std::size_t initialSpWords) {
-  std::vector<HopRecord> out;
-  if (valuesPerHop == 0) return out;
-  const std::size_t spWords = tpp.header.stackPointer / core::kWordSize;
-  for (std::size_t base = initialSpWords; base + valuesPerHop <= spWords;
-       base += valuesPerHop) {
-    HopRecord rec;
-    rec.reserve(valuesPerHop);
-    for (std::size_t i = 0; i < valuesPerHop; ++i) {
-      if (base + i >= tpp.pmem.size()) return out;
-      rec.push_back(tpp.pmem[base + i]);
-    }
-    out.push_back(std::move(rec));
-  }
-  return out;
-}
-
-RecordSplit splitStackRecordsChecked(const core::ExecutedTpp& tpp,
-                                     std::size_t valuesPerHop,
-                                     std::size_t initialSpWords) {
+RecordSplit splitStackRecords(const core::ExecutedTpp& tpp,
+                              std::size_t valuesPerHop,
+                              std::size_t initialSpWords) {
   RecordSplit out;
   if (valuesPerHop == 0) return out;
   const std::size_t spWords = tpp.header.stackPointer / core::kWordSize;

@@ -13,24 +13,16 @@ namespace tpp::host {
 // One hop's worth of values from a collect-style TPP.
 using HopRecord = std::vector<std::uint32_t>;
 
-// Splits a stack-mode TPP's pushed values into per-hop records. The stack
-// region starts after the immediates (initialSpWords words in) and each hop
-// pushed `valuesPerHop` words. Partial trailing records are discarded.
-std::vector<HopRecord> splitStackRecords(const core::ExecutedTpp& tpp,
-                                         std::size_t valuesPerHop,
-                                         std::size_t initialSpWords = 0);
-
 // Splits a hop-mode TPP's packet memory into perHopWords-sized records,
 // one per hop actually traversed.
 std::vector<HopRecord> splitHopRecords(const core::ExecutedTpp& tpp);
 
-// Hole-aware variant of splitStackRecords: reports when the pushed region
-// does not divide into whole records (a TPP-unaware switch skipped its
-// pushes, or a corrupted header points past the allocated pmem), instead of
-// silently discarding the remainder. `expectedHops`, when non-zero, lets
-// callers additionally flag a structurally-valid but short trace — the
-// record count is the hop count actually executed, so fewer records than
-// expected means a hole somewhere on the path.
+// A stack-mode TPP's pushed values, split into per-hop records, and whether
+// the pushed region divided into whole records. It does not when a
+// TPP-unaware switch skipped its pushes or a corrupted header points past
+// the allocated pmem; the partial record is then discarded. Since the record
+// count is the hop count actually executed, complete(expectedHops) also
+// flags a structurally-valid but short trace: a hole somewhere on the path.
 struct RecordSplit {
   std::vector<HopRecord> records;
   bool truncated = false;  // stack region ended mid-record or outran pmem
@@ -39,9 +31,12 @@ struct RecordSplit {
     return !truncated && records.size() >= expectedHops;
   }
 };
-RecordSplit splitStackRecordsChecked(const core::ExecutedTpp& tpp,
-                                     std::size_t valuesPerHop,
-                                     std::size_t initialSpWords = 0);
+
+// The stack region starts after the immediates (initialSpWords words in)
+// and each hop pushed `valuesPerHop` words.
+RecordSplit splitStackRecords(const core::ExecutedTpp& tpp,
+                              std::size_t valuesPerHop,
+                              std::size_t initialSpWords = 0);
 
 // Running accumulator of per-hop samples across many probes: per hop index,
 // the mean of each value column. Used by RCP* to average queue samples over

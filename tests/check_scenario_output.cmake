@@ -1,23 +1,24 @@
-# Runs tppscenario on one .scn file and compares its stdout with the
-# checked-in copy, byte for byte. A model change that moves a digest, an
-# FCT percentile or the event count shows up here as a diff. With
-# -DREGEN=ON the script rewrites the checked-in copy instead (the
-# regen-golden target does that for every shipped scenario). Every error
+# Runs one program with one argument and compares its stdout with the
+# checked-in copy, byte for byte: tppscenario on a shipped .scn file, or
+# tpppaper on one paper case. A model change that moves a digest, an FCT
+# percentile, the event count or a reproduced figure shows up here as a
+# diff. With -DREGEN=ON the script rewrites the checked-in copy instead (the
+# regen-golden target does that for every pinned output). Every error
 # message starts with "check_scenario_output:", so a ctest that also sets
 # PASS_REGULAR_EXPRESSION can fail on that prefix despite the echo below.
 #
-#   cmake -DTPPSCENARIO=<binary> -DSCENARIO=<file.scn> -DEXPECTED=<file.out>
+#   cmake -DPROGRAM=<binary> -DARG=<argument> -DEXPECTED=<file.out>
 #         [-DREGEN=ON] -P check_scenario_output.cmake
 cmake_minimum_required(VERSION 3.16)
-foreach(var TPPSCENARIO SCENARIO EXPECTED)
+foreach(var PROGRAM ARG EXPECTED)
   if(NOT ${var})
     message(FATAL_ERROR "check_scenario_output: -D${var}=... is required")
   endif()
 endforeach()
-execute_process(COMMAND "${TPPSCENARIO}" "${SCENARIO}"
+execute_process(COMMAND "${PROGRAM}" "${ARG}"
                 OUTPUT_VARIABLE produced RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "check_scenario_output: ${TPPSCENARIO} ${SCENARIO} "
+  message(FATAL_ERROR "check_scenario_output: ${PROGRAM} ${ARG} "
                       "exited with ${rc}:\n${produced}")
 endif()
 if(REGEN)

@@ -17,7 +17,7 @@ core::ExecutedTpp stackTpp(std::vector<std::uint32_t> pmem,
 
 TEST(SplitStackRecords, EvenRecords) {
   const auto t = stackTpp({1, 2, 3, 4, 5, 6}, 24);
-  const auto recs = splitStackRecords(t, 2);
+  const auto recs = splitStackRecords(t, 2).records;
   ASSERT_EQ(recs.size(), 3u);
   EXPECT_EQ(recs[0], (HopRecord{1, 2}));
   EXPECT_EQ(recs[2], (HopRecord{5, 6}));
@@ -25,27 +25,30 @@ TEST(SplitStackRecords, EvenRecords) {
 
 TEST(SplitStackRecords, PartialTailDiscarded) {
   const auto t = stackTpp({1, 2, 3, 4, 5}, 20);
-  const auto recs = splitStackRecords(t, 2);
-  EXPECT_EQ(recs.size(), 2u);
+  const auto split = splitStackRecords(t, 2);
+  EXPECT_EQ(split.records.size(), 2u);
+  EXPECT_TRUE(split.truncated);
 }
 
 TEST(SplitStackRecords, RespectsStackPointerNotCapacity) {
   // 8 words allocated, only 4 pushed.
   const auto t = stackTpp({1, 2, 3, 4, 0, 0, 0, 0}, 16);
-  EXPECT_EQ(splitStackRecords(t, 2).size(), 2u);
+  const auto split = splitStackRecords(t, 2);
+  EXPECT_EQ(split.records.size(), 2u);
+  EXPECT_FALSE(split.truncated);
 }
 
 TEST(SplitStackRecords, SkipsImmediateRegion) {
   // Two immediates, then one record of two values.
   const auto t = stackTpp({0xff, 0x02, 10, 20}, 16);
-  const auto recs = splitStackRecords(t, 2, /*initialSpWords=*/2);
+  const auto recs = splitStackRecords(t, 2, /*initialSpWords=*/2).records;
   ASSERT_EQ(recs.size(), 1u);
   EXPECT_EQ(recs[0], (HopRecord{10, 20}));
 }
 
 TEST(SplitStackRecords, ZeroValuesPerHopIsEmpty) {
   const auto t = stackTpp({1, 2}, 8);
-  EXPECT_TRUE(splitStackRecords(t, 0).empty());
+  EXPECT_TRUE(splitStackRecords(t, 0).records.empty());
 }
 
 TEST(SplitHopRecords, UsesHopCountAndPerHopSize) {
@@ -103,7 +106,7 @@ TEST(HopSampleAverager, OutOfRangeIsZero) {
   EXPECT_DOUBLE_EQ(avg.mean(0, 5), 0.0);
 }
 
-// ------------------------------------------- checked multi-word records
+// ------------------------------------------------- multi-word records
 //
 // The sketch read probe (monitor::CountMinSketch::readProbeProgram) burns
 // two CEXEC immediates and pushes 1 + rows words at the one pinned switch:
@@ -113,7 +116,7 @@ TEST(HopSampleAverager, OutOfRangeIsZero) {
 TEST(SplitStackRecordsChecked, SketchReadRecordParses) {
   // [imm, imm | epoch, row0..row3], sp = 7 words.
   const auto t = stackTpp({0xffffffff, 1, 3, 51, 52, 50, 53}, 28);
-  const auto split = splitStackRecordsChecked(t, 5, /*initialSpWords=*/2);
+  const auto split = splitStackRecords(t, 5, /*initialSpWords=*/2);
   EXPECT_FALSE(split.truncated);
   ASSERT_TRUE(split.complete(1));
   ASSERT_EQ(split.records.size(), 1u);
@@ -123,7 +126,7 @@ TEST(SplitStackRecordsChecked, SketchReadRecordParses) {
 TEST(SplitStackRecordsChecked, PartialSketchRecordIsTruncatedNotDropped) {
   // A TPP-unaware hop forwarded mid-push: only 3 of the 5 words landed.
   const auto t = stackTpp({0xffffffff, 1, 3, 51, 52}, 20);
-  const auto split = splitStackRecordsChecked(t, 5, /*initialSpWords=*/2);
+  const auto split = splitStackRecords(t, 5, /*initialSpWords=*/2);
   EXPECT_TRUE(split.truncated);
   EXPECT_TRUE(split.records.empty());
   EXPECT_FALSE(split.complete(1));
@@ -134,7 +137,7 @@ TEST(SplitStackRecordsChecked, CexecSkippedHopsYieldShortTrace) {
   // switch: one whole record, structurally clean, short of 2 hops.
   const auto t = stackTpp({0xffffffff, 1, 3, 51, 52, 50, 53, 0, 0, 0, 0, 0},
                           28, /*hops=*/2);
-  const auto split = splitStackRecordsChecked(t, 5, /*initialSpWords=*/2);
+  const auto split = splitStackRecords(t, 5, /*initialSpWords=*/2);
   EXPECT_FALSE(split.truncated);
   ASSERT_EQ(split.records.size(), 1u);
   EXPECT_TRUE(split.complete(1));
@@ -144,14 +147,14 @@ TEST(SplitStackRecordsChecked, CexecSkippedHopsYieldShortTrace) {
 TEST(SplitStackRecordsChecked, StackPointerPastPmemIsTruncated) {
   // A corrupted header claims more pushed words than packet memory holds.
   const auto t = stackTpp({0xffffffff, 1, 3, 51}, 48);
-  const auto split = splitStackRecordsChecked(t, 5, /*initialSpWords=*/2);
+  const auto split = splitStackRecords(t, 5, /*initialSpWords=*/2);
   EXPECT_TRUE(split.truncated);
   EXPECT_TRUE(split.records.empty());
 }
 
 TEST(SplitStackRecordsChecked, StackPointerBelowImmediatesIsTruncated) {
   const auto t = stackTpp({0xffffffff, 1}, 4);
-  const auto split = splitStackRecordsChecked(t, 5, /*initialSpWords=*/2);
+  const auto split = splitStackRecords(t, 5, /*initialSpWords=*/2);
   EXPECT_TRUE(split.truncated);
   EXPECT_TRUE(split.records.empty());
 }

@@ -112,7 +112,7 @@ TEST_F(FatTreeFixture, CrossPodPathIsFiveHopsWithEcmpMetadata) {
   tb.sim().run();
   ASSERT_TRUE(result);
   EXPECT_EQ(result->header.hopNumber, 5);
-  const auto records = splitStackRecords(*result, 2);
+  const auto records = splitStackRecords(*result, 2).records;
   ASSERT_EQ(records.size(), 5u);
   // Upward hops have ECMP alternates; the final edge hop's only
   // "alternate" is the covering default route (no ECMP siblings).

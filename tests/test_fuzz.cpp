@@ -278,7 +278,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TraceDecoderFuzz,
 
 class RecordSplitFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
-// splitStackRecordsChecked on adversarial ExecutedTpps: random headers
+// splitStackRecords on adversarial ExecutedTpps: random headers
 // (stackPointer pointing anywhere, including past pmem), random pmem sizes,
 // random valuesPerHop. Must never crash; `truncated` flags the lies.
 TEST_P(RecordSplitFuzz, SplitSurvivesCorruptHeaders) {
@@ -298,7 +298,7 @@ TEST_P(RecordSplitFuzz, SplitSurvivesCorruptHeaders) {
         static_cast<std::size_t>(rng.uniformInt(1, 8));
     const auto spWords = static_cast<std::size_t>(rng.uniformInt(0, 20));
     const auto split =
-        host::splitStackRecordsChecked(tpp, valuesPerHop, spWords);
+        host::splitStackRecords(tpp, valuesPerHop, spWords);
     // Whatever was parsed must actually fit in the real pmem buffer.
     EXPECT_LE(spWords + split.records.size() * valuesPerHop,
               std::max(tpp.pmem.size(), spWords));

@@ -160,7 +160,7 @@ TEST_F(SketchRig, ReadProbeMatchesControlPlaneEstimate) {
   ASSERT_TRUE(result);
 
   // CEXEC burned 2 immediate words; one hop pushed 1 + rows values.
-  const auto split = host::splitStackRecordsChecked(
+  const auto split = host::splitStackRecords(
       *result, 1 + sketch.config().rows, /*initialSpWords=*/2);
   EXPECT_FALSE(split.truncated);
   ASSERT_TRUE(split.complete(1));

@@ -53,7 +53,7 @@ TEST_F(ListingsFixture, Section21QueueSizeQuery) {
   // Fig 1: SP advances one word per hop: 0x0 -> 0x4 -> 0x8 -> 0xc.
   EXPECT_EQ(tpp.header.stackPointer, 0xc);
   EXPECT_EQ(tpp.header.hopNumber, 3);
-  EXPECT_EQ(host::splitStackRecords(tpp, 1).size(), 3u);
+  EXPECT_EQ(host::splitStackRecords(tpp, 1).records.size(), 3u);
 }
 
 TEST_F(ListingsFixture, Section22Phase1Collect) {
@@ -64,7 +64,7 @@ TEST_F(ListingsFixture, Section22Phase1Collect) {
       PUSH [Link:RX-Utilization]
       PUSH [Link:RCP-RateRegister]
   )"));
-  const auto records = host::splitStackRecords(tpp, 4);
+  const auto records = host::splitStackRecords(tpp, 4).records;
   ASSERT_EQ(records.size(), 3u);
   // Switch ids identify each hop; the receiver "simply echos a fully
   // executed TPP back to the sender" (tested by getting a result at all).
@@ -112,7 +112,7 @@ TEST_F(ListingsFixture, Section23NdbTrace) {
       PUSH [PacketMetadata:MatchedEntryID]
       PUSH [PacketMetadata:InputPort]
   )"));
-  const auto records = host::splitStackRecords(tpp, 3);
+  const auto records = host::splitStackRecords(tpp, 3).records;
   ASSERT_EQ(records.size(), 3u);
   for (const auto& rec : records) {
     EXPECT_GT(rec[0], 0u);   // a real switch id
@@ -145,7 +145,7 @@ TEST_F(ListingsFixture, Section321PacketMetadataAddresses) {
       PUSH [0xA001]
       PUSH [0xA002]
   )"));
-  const auto records = host::splitStackRecords(tpp, 2);
+  const auto records = host::splitStackRecords(tpp, 2).records;
   ASSERT_EQ(records.size(), 3u);
   EXPECT_EQ(records[0][0], 0u);  // input port
   EXPECT_EQ(records[0][1], 1u);  // selected route (egress port)

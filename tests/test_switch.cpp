@@ -59,7 +59,7 @@ TEST_F(ChainFixture, ProbeExecutesOnEveryHop) {
   tb.sim().run();
   ASSERT_TRUE(result);
   EXPECT_EQ(result->header.hopNumber, 3);
-  const auto records = host::splitStackRecords(*result, 1);
+  const auto records = host::splitStackRecords(*result, 1).records;
   ASSERT_EQ(records.size(), 3u);
   EXPECT_EQ(records[0][0], tb.sw(0).config().switchId);
   EXPECT_EQ(records[1][0], tb.sw(1).config().switchId);
@@ -77,7 +77,7 @@ TEST_F(ChainFixture, PacketMetadataReflectsForwarding) {
   h0().sendProbe(h1().mac(), h1().ip(), *b.build());
   tb.sim().run();
   ASSERT_TRUE(result);
-  const auto records = host::splitStackRecords(*result, 3);
+  const auto records = host::splitStackRecords(*result, 3).records;
   ASSERT_EQ(records.size(), 3u);
   for (const auto& rec : records) {
     EXPECT_EQ(rec[0], 0u);  // arrived on the left port
@@ -98,7 +98,7 @@ TEST_F(ChainFixture, SwitchStatsNamespaceReadable) {
   h0().sendProbe(h1().mac(), h1().ip(), *b.build());
   tb.sim().run();
   ASSERT_TRUE(result);
-  const auto records = host::splitStackRecords(*result, 3);
+  const auto records = host::splitStackRecords(*result, 3).records;
   ASSERT_EQ(records.size(), 3u);
   EXPECT_EQ(records[0][0], tb.sw(0).config().ports);
   EXPECT_EQ(records[0][1], tb.sw(0).l3().version());
@@ -111,7 +111,7 @@ TEST_F(ChainFixture, TimeRegistersTickWithSimClock) {
   b.reserve(4);
   std::vector<std::uint32_t> times;
   h0().onTppResult([&](const core::ExecutedTpp& t) {
-    const auto recs = host::splitStackRecords(t, 1);
+    const auto recs = host::splitStackRecords(t, 1).records;
     if (!recs.empty()) times.push_back(recs[0][0]);
   });
   h0().sendProbe(h1().mac(), h1().ip(), *b.build());
@@ -137,7 +137,7 @@ TEST_F(ChainFixture, ScratchWriteReadAcrossPackets) {
   });
   tb.sim().run();
   ASSERT_EQ(results.size(), 2u);
-  const auto records = host::splitStackRecords(results[1], 1);
+  const auto records = host::splitStackRecords(results[1], 1).records;
   ASSERT_EQ(records.size(), 3u);
   EXPECT_EQ(records[0][0], 0xCAFEu);
   EXPECT_EQ(tb.sw(1).scratchRead(core::kSramBase), 0xCAFEu);
@@ -196,7 +196,7 @@ TEST_F(ChainFixture, PerPortScratchResolvesAgainstEgress) {
   h0().sendProbe(h1().mac(), h1().ip(), *b.build());
   tb.sim().run();
   ASSERT_TRUE(result);
-  const auto records = host::splitStackRecords(*result, 1);
+  const auto records = host::splitStackRecords(*result, 1).records;
   ASSERT_EQ(records.size(), 3u);
   EXPECT_EQ(records[0][0], 111u);
   EXPECT_EQ(records[1][0], 222u);
@@ -271,7 +271,7 @@ TEST_F(ChainFixture, UtilizationRegisterTracksOfferedLoad) {
   tb.sim().run(sim::Time::ms(60));
   flow.stop();
   ASSERT_TRUE(result);
-  const auto records = host::splitStackRecords(*result, 1);
+  const auto records = host::splitStackRecords(*result, 1).records;
   ASSERT_EQ(records.size(), 3u);
   // Offered load ≈ 50% of capacity, in ppm.
   EXPECT_NEAR(records[0][0], 500'000.0, 60'000.0);
@@ -307,7 +307,7 @@ TEST(SwitchUnit, TcamQueueSteeringVisibleToTpp) {
   tb.host(0).sendProbe(tb.host(1).mac(), tb.host(1).ip(), *b.build());
   tb.sim().run();
   ASSERT_TRUE(result);
-  const auto records = host::splitStackRecords(*result, 2);
+  const auto records = host::splitStackRecords(*result, 2).records;
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0][0], 5u);
   EXPECT_EQ(records[0][1], 3u);  // TCAM

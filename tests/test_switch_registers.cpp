@@ -35,7 +35,7 @@ struct RegisterFixture : public ::testing::Test {
     tb.sim().run(tb.sim().now() + sim::Time::ms(5));
     if (results.size() != before + 1) return {};
     std::vector<std::uint32_t> out;
-    for (const auto& rec : host::splitStackRecords(results.back(), 1)) {
+    for (const auto& rec : host::splitStackRecords(results.back(), 1).records) {
       out.push_back(rec[0]);
     }
     return out;
@@ -118,7 +118,7 @@ TEST_F(RegisterFixture, TimeHiLowTogetherEncodeNanoseconds) {
   tb.host(0).sendProbe(tb.host(1).mac(), tb.host(1).ip(), *b.build());
   tb.sim().run(tb.sim().now() + sim::Time::ms(5));
   ASSERT_EQ(results.size(), before + 1);
-  const auto recs = host::splitStackRecords(results.back(), 2);
+  const auto recs = host::splitStackRecords(results.back(), 2).records;
   ASSERT_EQ(recs.size(), 2u);
   const auto ns =
       (static_cast<std::uint64_t>(recs[0][0]) << 32) | recs[0][1];
@@ -212,7 +212,7 @@ TEST(DropCounterRegisters, PerPortDropTailCountersMatchGroundTruth) {
   tb.host(0).sendProbe(tb.host(1).mac(), tb.host(1).ip(), *b.build());
   tb.sim().run(tb.sim().now() + sim::Time::ms(5));
   ASSERT_EQ(results.size(), 1u);
-  const auto recs = host::splitStackRecords(results.back(), 2);
+  const auto recs = host::splitStackRecords(results.back(), 2).records;
   ASSERT_EQ(recs.size(), 2u);
 
   // Hop 0 = left switch, egress = the dropping bottleneck port (port 1).

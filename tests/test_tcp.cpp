@@ -361,7 +361,7 @@ TEST(TppTcpController, ProbeProgramVerifiesAndParses) {
   tb.sim().run(sim::Time::ms(10));
   ASSERT_EQ(echoes.size(), 1u);
   const auto split =
-      host::splitStackRecordsChecked(echoes[0], apps::kTcpProbeValuesPerHop);
+      host::splitStackRecords(echoes[0], apps::kTcpProbeValuesPerHop);
   EXPECT_FALSE(split.truncated);
   ASSERT_EQ(split.records.size(), 2u);
   EXPECT_EQ(split.records[0][0], tb.sw(0).config().switchId);

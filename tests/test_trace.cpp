@@ -154,7 +154,7 @@ TEST(Trace, TelemetryRegistersReadableByTpps) {
   const auto program = telemetryReadProgram();
   std::vector<std::uint32_t> values;
   prober.send(program, [&](const core::ExecutedTpp& tpp) {
-    const auto split = host::splitStackRecordsChecked(
+    const auto split = host::splitStackRecords(
         tpp, 6, host::ReliableProber::seqWordIndex(program) + 1);
     ASSERT_EQ(split.records.size(), 1u);
     values = split.records[0];
@@ -179,7 +179,7 @@ TEST(Trace, TelemetryRegistersReadZeroWhenDisarmed) {
   const auto program = telemetryReadProgram();
   std::vector<std::uint32_t> values;
   prober.send(program, [&](const core::ExecutedTpp& tpp) {
-    const auto split = host::splitStackRecordsChecked(
+    const auto split = host::splitStackRecords(
         tpp, 6, host::ReliableProber::seqWordIndex(program) + 1);
     ASSERT_EQ(split.records.size(), 1u);
     values = split.records[0];

@@ -40,7 +40,7 @@ TEST(Wireless, PhySetsAndTppReadsEgressSnr) {
                             *b.build());
   tb.sim().run();
   ASSERT_TRUE(result);
-  const auto records = host::splitStackRecords(*result, 1);
+  const auto records = host::splitStackRecords(*result, 1).records;
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[1][0], 2375u);  // hop 2 = sw0, egress toward h0
 }
@@ -68,7 +68,7 @@ TEST(Wireless, RapidSnrChangesVisiblePerProbe) {
   const auto program = *b.build();
   std::vector<std::uint32_t> seen;
   tb.host(0).onTppResult([&](const core::ExecutedTpp& t) {
-    const auto recs = host::splitStackRecords(t, 1);
+    const auto recs = host::splitStackRecords(t, 1).records;
     if (!recs.empty()) seen.push_back(recs[0][0]);
   });
   for (int i = 0; i < 5; ++i) {
